@@ -125,12 +125,11 @@ class CompressSurrogate:
 AttackSpec = SaltPepper | GaussianNoise | Speckle | Crop | CompressSurrogate
 
 
-def _as_float(img: ImageGrid) -> np.ndarray:
-    return img.pixels.astype(np.float64)
-
-
 def _to_grid(arr: np.ndarray) -> ImageGrid:
-    return ImageGrid(np.clip(np.rint(arr), 0, 255).astype(np.uint8))
+    """Round and clamp a float array to bytes; arr is overwritten on the way."""
+    np.rint(arr, out=arr)
+    np.clip(arr, 0, 255, out=arr)
+    return ImageGrid(arr.astype(np.uint8))
 
 
 def _salt_pepper(img: ImageGrid, spec: SaltPepper) -> ImageGrid:
@@ -152,13 +151,16 @@ def _salt_pepper(img: ImageGrid, spec: SaltPepper) -> ImageGrid:
 def _gaussian(img: ImageGrid, spec: GaussianNoise) -> ImageGrid:
     rng = np.random.default_rng(spec.seed)
     noise = rng.normal(spec.mean, math.sqrt(spec.variance), img.pixels.shape)
-    return _to_grid(_as_float(img) + noise)
+    noise += img.pixels
+    return _to_grid(noise)
 
 
 def _speckle(img: ImageGrid, spec: Speckle) -> ImageGrid:
     rng = np.random.default_rng(spec.seed)
     noise = rng.normal(0.0, math.sqrt(spec.variance), img.pixels.shape)
-    return _to_grid(_as_float(img) * (1.0 + noise))
+    noise += 1.0
+    noise *= img.pixels
+    return _to_grid(noise)
 
 
 def _crop(img: ImageGrid, spec: Crop) -> ImageGrid:
@@ -187,7 +189,8 @@ _DCT8 = _dct_matrix(8)
 def _compress_plane(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
     n = plane.shape[0]
     pad = (-n) % 8
-    padded = np.pad(plane, ((0, pad), (0, pad)), mode="edge").astype(np.float64) - 128.0
+    padded = np.pad(plane, ((0, pad), (0, pad)), mode="edge").astype(np.float64)
+    padded -= 128.0
     out = np.empty_like(padded)
     for r in range(0, padded.shape[0], 8):
         for c in range(0, padded.shape[1], 8):
@@ -195,7 +198,8 @@ def _compress_plane(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
             coeffs = _DCT8 @ block @ _DCT8.T
             coeffs = np.round(coeffs / table) * table
             out[r : r + 8, c : c + 8] = _DCT8.T @ coeffs @ _DCT8
-    return out[:n, :n] + 128.0
+    out += 128.0
+    return out[:n, :n]
 
 
 def _compress(img: ImageGrid, spec: CompressSurrogate) -> ImageGrid:

@@ -39,7 +39,7 @@ def _build_parser() -> _Parser:
     p.add_argument("key")
     p.add_argument("output")
     p.add_argument("--route", choices=["forward", "inverse"], default=None,
-                   help="force a decryption route (default: cheaper one)")
+                   help="decryption route to report; both give the same bytes")
     p.add_argument("--verbose", action="store_true",
                    help="report the chosen route and both route costs")
 

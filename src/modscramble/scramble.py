@@ -7,12 +7,13 @@ scrambling collapses t applications into a single matrix power, then performs
 one permutation pass, which is identical to t sequential passes.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridShapeError, PeriodCapError
-from .maps import IDENTITY, Entries, TransformMap, ValidatedMap, inverse_mod, mat_mul_mod, power_mod, validate
+from .maps import IDENTITY, Entries, TransformMap, ValidatedMap, mat_mul_mod, power_mod, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,18 +102,72 @@ def apply_point(vm: ValidatedMap, x: int, y: int) -> tuple[int, int]:
     return (a * x + b * y) % n, (c * x + d * y) % n
 
 
-def _permute(grid: ImageGrid, matrix: Entries, n: int) -> ImageGrid:
-    """One vectorized permutation pass: out[x', y'] = in[x, y]."""
-    if matrix == IDENTITY:
-        return grid
+#: Elements of each row block while an index is built; bounds its temporaries.
+_BLOCK = 1 << 15
+
+#: The index of the last (matrix, n) used, as ((matrix, n), index), or None.
+_last_index: tuple[tuple[Entries, int], np.ndarray] | None = None
+_index_lock = threading.Lock()
+
+
+def _build_index(matrix: Entries, n: int) -> np.ndarray:
+    """Flat destination x'*n + y' of every source pixel x*n + y, built in row blocks.
+
+    Each row block is an outer sum of per-axis residues, reduced by one
+    unsigned wrap: for v in [0, 2m), min(v, v - m) is v mod m, because v - m
+    wraps round to a huge value when v < m.
+    """
     a, b, c, d = matrix
-    x = np.arange(n, dtype=np.int64).reshape(n, 1)
-    y = np.arange(n, dtype=np.int64).reshape(1, n)
-    xp = (a * x + b * y) % n
-    yp = (c * x + d * y) % n
-    out = np.empty_like(grid.pixels)
-    out[xp, yp] = grid.pixels
-    return ImageGrid(out)
+    nn = n * n
+    work = np.uint32 if 2 * nn <= 2**32 else np.uint64
+    r = np.arange(n, dtype=work)
+    ax, by = (coef * r % n * n for coef in (work(a), work(b)))  # x' terms, times n
+    cx, dy = (coef * r % n for coef in (work(c), work(d)))
+    index = np.empty(nn, dtype=np.intp)
+    rows = max(1, _BLOCK // n)
+    xs, ys, spare = (np.empty((rows, n), dtype=work) for _ in range(3))
+    for x0 in range(0, n, rows):
+        block = index[x0 * n : (x0 + rows) * n].reshape(-1, n)
+        k = block.shape[0]
+        xp, yp, tmp = xs[:k], ys[:k], spare[:k]
+        np.add.outer(ax[x0 : x0 + k], by, out=xp)
+        np.minimum(xp, np.subtract(xp, work(nn), out=tmp), out=xp)
+        np.add.outer(cx[x0 : x0 + k], dy, out=yp)
+        np.minimum(yp, np.subtract(yp, work(n), out=tmp), out=yp)
+        np.add(xp, yp, out=block)
+    index.flags.writeable = False
+    return index
+
+
+def permutation_index(matrix: Entries, n: int) -> np.ndarray:
+    """Read-only flat destination index of one pass of matrix, entries in [0, n).
+
+    Pixel i = x*n + y moves to index[i]. The index of the last (matrix, n)
+    is kept, so a key that scrambles many images, or scrambles and then
+    unscrambles, builds it once. Only that one index is kept: the old one is
+    dropped before a new one is built, so at most one (8 bytes per pixel)
+    is held at any time.
+    """
+    global _last_index
+    with _index_lock:
+        if _last_index is None or _last_index[0] != (matrix, n):
+            _last_index = None  # free the old index before the new one exists
+            _last_index = ((matrix, n), _build_index(matrix, n))
+        return _last_index[1]
+
+
+_RGB = np.dtype((np.void, 3))
+
+
+def _flat(pixels: np.ndarray) -> np.ndarray:
+    """One element per pixel, in row-major order; an RGB pixel is one 3-byte void."""
+    if pixels.ndim == 3:
+        return pixels.reshape(-1, 3).view(_RGB).reshape(-1)
+    return pixels.reshape(-1)
+
+
+def _as_grid(flat: np.ndarray, like: ImageGrid) -> ImageGrid:
+    return ImageGrid(flat.view(np.uint8).reshape(like.pixels.shape))
 
 
 def _check_key(img: ImageGrid, key: ScrambleKey) -> ValidatedMap:
@@ -124,8 +179,15 @@ def _check_key(img: ImageGrid, key: ScrambleKey) -> ValidatedMap:
 
 
 def scramble(img: ImageGrid, key: ScrambleKey) -> ImageGrid:
+    """Move every pixel t = key.iterations times: out[M^t (x, y)] = in[x, y]."""
     vm = _check_key(img, key)
-    return _permute(img, power_mod(vm, key.iterations), key.n)
+    matrix = power_mod(vm, key.iterations)
+    if matrix == IDENTITY:
+        return img
+    src = _flat(img.pixels)
+    out = np.empty_like(src)
+    out[permutation_index(matrix, key.n)] = src
+    return _as_grid(out, img)
 
 
 def period(vm: ValidatedMap, cap: int | None = None) -> PeriodReport:
@@ -157,20 +219,19 @@ def plan_unscramble(vm: ValidatedMap, iterations: int) -> RoutePlan:
 
 
 def unscramble(img: ImageGrid, key: ScrambleKey, route: str | None = None) -> ImageGrid:
-    """Exact inverse of scramble with the same key.
+    """Exact inverse of scramble with the same key: out[x, y] = in[M^t (x, y)].
 
-    route None picks whichever of "forward" (iterate the map period - t more
-    times) and "inverse" (iterate the inverse map t times) is cheaper; both
-    produce bit-identical output.
+    It gathers through the same cached index that scramble scatters through,
+    so it needs only M^t: no period search and no inverse matrix. The two
+    routes of the paper, "forward" (iterate the map period - t more times)
+    and "inverse" (iterate the inverse map t times), are the same
+    permutation; route None, "forward" and "inverse" all run this one gather
+    and give the same bytes. plan_unscramble still reports the routes' costs.
     """
     vm = _check_key(img, key)
-    plan = plan_unscramble(vm, key.iterations)
-    if route is None:
-        route = plan.chosen
-    if route == "forward":
-        matrix = power_mod(vm, plan.forward_steps)
-    elif route == "inverse":
-        matrix = power_mod(inverse_mod(vm), plan.inverse_steps)
-    else:
+    if route not in (None, "forward", "inverse"):
         raise ValueError(f"route must be 'forward' or 'inverse', got {route!r}")
-    return _permute(img, matrix, key.n)
+    matrix = power_mod(vm, key.iterations)
+    if matrix == IDENTITY:
+        return img
+    return _as_grid(np.take(_flat(img.pixels), permutation_index(matrix, key.n)), img)

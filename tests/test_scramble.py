@@ -1,3 +1,8 @@
+import importlib
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +24,13 @@ from modscramble import (
     make_raw,
     period,
     plan_unscramble,
+    power_mod,
     scramble,
     unscramble,
     validate,
 )
 from modscramble.analysis import standard_family_maps
+from modscramble.scramble import permutation_index
 
 from conftest import permutation_order, random_gray, random_rgb
 
@@ -263,3 +270,138 @@ def test_rgb_roundtrip():
     img = random_rgb(16, seed=6)
     key = ScrambleKey(make_flt(F.FIB32, 2), 16, 11)
     assert unscramble(scramble(img, key), key) == img
+
+
+# ------------------------------------------- flat-index engine vs the oracle
+
+def _random_invertible(rng, n):
+    while True:
+        m = make_raw(*(int(v) for v in rng.integers(-n, 2 * n, 4)))
+        try:
+            return validate(m, n)
+        except InvalidScramblerError:
+            pass
+
+
+def _oracle_destinations(vm, t):
+    """Flat destination of every pixel after t passes, from apply_point alone."""
+    n = vm.n
+    points = (apply_point(vm, x, y) for x in range(n) for y in range(n))
+    once = np.array([x * n + y for x, y in points])
+    dest = np.arange(n * n)
+    for _ in range(t):
+        dest = once[dest]
+    return dest
+
+
+def _oracle_scramble(img, dest):
+    flat = img.pixels.reshape(img.side**2, -1)
+    out = np.empty_like(flat)
+    out[dest] = flat
+    return out.reshape(img.pixels.shape)
+
+
+@pytest.mark.parametrize("make_image", [random_gray, random_rgb], ids=["gray", "rgb"])
+def test_engine_matches_the_point_oracle(make_image):
+    rng = np.random.default_rng(2024)
+    for n in range(2, 41):
+        vm = _random_invertible(rng, n)
+        p = permutation_order(vm)
+        img = make_image(n, seed=n)
+        for t in (int(rng.integers(0, 3 * p + 2)), p * int(rng.integers(1, 4))):
+            key = ScrambleKey(vm.map, n, t)
+            expected = _oracle_scramble(img, _oracle_destinations(vm, t % p))
+            scrambled = scramble(img, key)
+            assert np.array_equal(scrambled.pixels, expected), (n, t)
+            assert unscramble(scrambled, key) == img, (n, t)
+            if t % p == 0:
+                assert scrambled == img
+
+
+def test_interleaved_keys_give_correct_bytes():
+    arnold = make_arnold()
+    other = make_flt(F.FIB32, 3)
+    keys = [ScrambleKey(arnold, 16, 1), ScrambleKey(arnold, 17, 1),  # one matrix, two moduli
+            ScrambleKey(other, 16, 5), ScrambleKey(arnold, 16, 1)]  # two keys at one modulus
+    images = {16: random_rgb(16, seed=1), 17: random_gray(17, seed=2)}
+    for key in keys * 2:
+        img = images[key.n]
+        scrambled = scramble(img, key)
+        expected = _oracle_scramble(img, _oracle_destinations(key.validated(), key.iterations))
+        assert np.array_equal(scrambled.pixels, expected)
+        assert unscramble(scrambled, key) == img
+
+
+@pytest.mark.parametrize("block", [1, 13, 50])
+def test_index_built_in_row_blocks_matches_the_oracle(monkeypatch, block):
+    module = importlib.import_module("modscramble.scramble")
+    monkeypatch.setattr(module, "_BLOCK", block)  # one row, whole rows, a short last block
+    monkeypatch.setattr(module, "_last_index", None)
+    vm = validate(make_flt(F.FIB32, 3), 13)
+    assert np.array_equal(permutation_index(vm.reduced, 13), _oracle_destinations(vm, 1))
+
+
+def test_cached_index_is_read_only():
+    index = permutation_index((2, 1, 1, 1), 8)
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0] = 1
+    assert permutation_index((2, 1, 1, 1), 8) is index
+
+
+def test_at_most_one_index_is_held():
+    rng = np.random.default_rng(3)
+    alive = []
+    for _ in range(12):
+        n = int(rng.integers(2, 24))
+        key = ScrambleKey(_random_invertible(rng, n).map, n, int(rng.integers(1, 9)))
+        img = random_gray(n, seed=n)
+        unscramble(scramble(img, key), key)
+        alive.append(weakref.ref(permutation_index(power_mod(key.validated(), key.iterations), n)))
+        assert sum(ref() is not None for ref in alive) <= 1
+
+
+def test_threads_build_one_index_at_a_time(monkeypatch):
+    module = importlib.import_module("modscramble.scramble")
+    real_build = module._build_index
+    building, peak = [0], [0]
+
+    def slow_build(matrix, n):
+        building[0] += 1
+        peak[0] = max(peak[0], building[0])
+        time.sleep(0.002)  # lets another thread run while this one builds
+        try:
+            return real_build(matrix, n)
+        finally:
+            building[0] -= 1
+
+    monkeypatch.setattr(module, "_build_index", slow_build)
+    wanted = [((2, 1, 1, 1), 24), ((2, 1, 1, 1), 25), ((3, 2, 5, 7), 24)]
+    expected = [real_build(matrix, n) for matrix, n in wanted]
+    errors = []
+
+    def worker(offset):
+        for step in range(15):
+            pick = (offset + step) % len(wanted)
+            if not np.array_equal(permutation_index(*wanted[pick]), expected[pick]):
+                errors.append((offset, step))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert peak[0] == 1
+
+
+@pytest.mark.parametrize("route", [None, "forward", "inverse"])
+def test_unscramble_never_searches_the_period(monkeypatch, route):
+    def no_search(*args, **kwargs):
+        raise AssertionError("unscramble searched the period")
+
+    monkeypatch.setattr(importlib.import_module("modscramble.scramble"), "period", no_search)
+    img = random_rgb(32, seed=9)
+    key = ScrambleKey(make_flt(F.FIB11, 6), 32, 20)
+    assert unscramble(scramble(img, key), key, route=route) == img
