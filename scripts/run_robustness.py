@@ -4,12 +4,14 @@
 Scrambles a deterministic synthetic test image, applies each attack to the
 scrambled image, unscrambles, and records exact damage metrics. The point the
 reports make: MSE(scrambled, attacked) == MSE(original, recovered) for every
-in-place attack, so scrambling neither amplifies nor attenuates damage.
+in-place attack, so scrambling neither amplifies nor attenuates damage. The
+script exits 1 if any attack breaks that isometry.
 """
 
 import argparse
 import json
 import pathlib
+import sys
 
 import numpy as np
 
@@ -70,6 +72,7 @@ def main():
     save_pnm(out / "scrambled.pgm", scramble(img, key))
 
     summary = []
+    broken = []
     for name, spec in ATTACKS:
         if spec is None:
             q = args.n // 2
@@ -81,6 +84,8 @@ def main():
         (out / f"{name}.json").write_text(dumps_report(doc) + "\n")
         summary.append((name, doc))
         iso = "exact" if doc["mse_on_scrambled"] == doc["mse_on_recovered"] else "BROKEN"
+        if iso == "BROKEN":
+            broken.append(name)
         psnr = doc["psnr_recovered_db"]
         psnr_text = "lossless" if psnr is None else f"{psnr:.2f} dB"
         print(f"{name:18s} mse {doc['mse_on_recovered']:10.3f}  psnr {psnr_text:>10s}  isometry {iso}")
@@ -89,7 +94,11 @@ def main():
         json.dumps({name: doc for name, doc in summary}, indent=2, sort_keys=True) + "\n"
     )
     print(f"\nimages and reports written to {out}/")
+    if broken:
+        print(f"isometry BROKEN for: {', '.join(broken)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -140,11 +140,7 @@ def _salt_pepper(img: ImageGrid, spec: SaltPepper) -> ImageGrid:
         rng = np.random.default_rng(spec.seed)
         flat = rng.choice(n * n, size=count, replace=False)
         values = rng.integers(0, 2, size=count, dtype=np.uint8) * 255
-        rows, cols = flat // n, flat % n
-        if img.channels == 1:
-            out[rows, cols] = values
-        else:
-            out[rows, cols] = values[:, None]
+        out.reshape(n * n, -1)[flat] = values[:, None]
     return ImageGrid(out)
 
 
@@ -186,28 +182,38 @@ def _dct_matrix(size: int = 8) -> np.ndarray:
 _DCT8 = _dct_matrix(8)
 
 
-def _compress_plane(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
-    n = plane.shape[0]
-    pad = (-n) % 8
-    padded = np.pad(plane, ((0, pad), (0, pad)), mode="edge").astype(np.float64)
-    padded -= 128.0
-    out = np.empty_like(padded)
-    for r in range(0, padded.shape[0], 8):
-        for c in range(0, padded.shape[1], 8):
-            block = padded[r : r + 8, c : c + 8]
-            coeffs = _DCT8 @ block @ _DCT8.T
-            coeffs = np.round(coeffs / table) * table
-            out[r : r + 8, c : c + 8] = _DCT8.T @ coeffs @ _DCT8
-    out += 128.0
-    return out[:n, :n]
-
-
 def _compress(img: ImageGrid, spec: CompressSurrogate) -> ImageGrid:
+    """Every 8x8 block of every channel in one batched DCT, quantise, inverse DCT.
+
+    The edge-padded (N, N, C) grid becomes contiguous (C, m, m, 8, 8) float64
+    blocks; the transforms run in place through one scratch array, which is
+    dropped before the blocks are transposed back, so at most two float64
+    copies of the padded image are alive at once.
+    """
     table = spec.scaled_table()
-    if img.channels == 1:
-        return _to_grid(_compress_plane(img.pixels, table))
-    planes = [_compress_plane(img.pixels[:, :, c], table) for c in range(3)]
-    return _to_grid(np.stack(planes, axis=2))
+    n = img.side
+    m = -(-n // 8)
+    pad = 8 * m - n
+    blocks = (
+        np.pad(img.pixels.reshape(n, n, -1), ((0, pad), (0, pad), (0, 0)), mode="edge")
+        .reshape(m, 8, m, 8, -1)
+        .transpose(4, 0, 2, 1, 3)
+        .astype(np.float64, order="C")
+    )
+    blocks -= 128.0
+    scratch = np.empty_like(blocks)
+    np.matmul(_DCT8, blocks, out=scratch)
+    np.matmul(scratch, _DCT8.T, out=blocks)
+    blocks /= table
+    np.round(blocks, out=blocks)
+    blocks *= table
+    np.matmul(_DCT8.T, blocks, out=scratch)
+    np.matmul(scratch, _DCT8, out=blocks)
+    del scratch
+    blocks += 128.0
+    out = blocks.transpose(1, 3, 2, 4, 0).reshape(8 * m, 8 * m, -1)
+    del blocks
+    return _to_grid(out[:n, :n].reshape(img.pixels.shape))
 
 
 def apply_attack(img: ImageGrid, spec: AttackSpec) -> ImageGrid:
@@ -243,21 +249,23 @@ def mse(a: ImageGrid, b: ImageGrid) -> float:
     return sse(a, b) / a.pixels.size
 
 
-def psnr(a: ImageGrid, b: ImageGrid) -> float:
-    """10*log10(255^2 / MSE) in dB; +inf for identical images."""
-    err = mse(a, b)
+def _psnr_from_mse(err: float) -> float:
     if err == 0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / err)
 
 
+def psnr(a: ImageGrid, b: ImageGrid) -> float:
+    """10*log10(255^2 / MSE) in dB; +inf for identical images."""
+    return _psnr_from_mse(mse(a, b))
+
+
 def changed_pixels(a: ImageGrid, b: ImageGrid) -> int:
     """Number of pixel POSITIONS that differ (any channel counts once)."""
     _check_same_shape(a, b)
-    diff = a.pixels != b.pixels
-    if a.channels == 3:
-        diff = diff.any(axis=2)
-    return int(np.count_nonzero(diff))
+    n = a.side
+    diff = a.pixels.reshape(n * n, -1) != b.pixels.reshape(n * n, -1)
+    return int(np.count_nonzero(diff.any(axis=1)))
 
 
 def spec_to_dict(spec: AttackSpec) -> dict:
@@ -310,11 +318,12 @@ def recovery_experiment(img: ImageGrid, key: ScrambleKey, spec: AttackSpec) -> R
     scrambled = scramble(img, key)
     attacked = apply_attack(scrambled, spec)
     recovered = unscramble(attacked, key)
+    mse_recovered = mse(img, recovered)
     return RecoveryReport(
         attack=spec,
         mse_on_scrambled=mse(scrambled, attacked),
-        mse_on_recovered=mse(img, recovered),
-        psnr_recovered=psnr(img, recovered),
+        mse_on_recovered=mse_recovered,
+        psnr_recovered=_psnr_from_mse(mse_recovered),
         changed_on_scrambled=changed_pixels(scrambled, attacked),
         changed_on_recovered=changed_pixels(img, recovered),
         attacked=attacked,

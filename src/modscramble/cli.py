@@ -135,7 +135,8 @@ def _cmd_unscramble(args) -> int:
         plan = plan_unscramble(key.validated(), key.iterations)
         print(
             f"period {plan.period}: forward route {plan.forward_steps} steps, "
-            f"inverse route {plan.inverse_steps} steps; using {args.route or plan.chosen}"
+            f"inverse route {plan.inverse_steps} steps; using {args.route or plan.chosen}",
+            file=sys.stderr,
         )
     pnm.save_pnm(args.output, unscramble(img, key, route=args.route))
     return 0

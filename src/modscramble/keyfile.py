@@ -42,7 +42,7 @@ def key_from_dict(doc: dict) -> ScrambleKey:
     missing = _FIELDS - set(doc)
     if missing:
         raise KeyFormatError(f"missing key fields: {sorted(missing)}")
-    if doc["version"] != KEY_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != KEY_VERSION:
         raise KeyFormatError(
             f"unsupported key version {doc['version']!r}; this build reads version {KEY_VERSION}"
         )

@@ -238,25 +238,36 @@ def build_map(family: str, params: dict) -> TransformMap:
             return default
         raise KeyFormatError(f"family {family!r} requires parameter {name!r}")
 
+    def take_int(name, default=None):
+        # exact int only: a float, string or bool is rejected, never coerced
+        value = take(name, default)
+        if type(value) is not int:
+            raise KeyFormatError(f"parameter {name!r} must be an integer, got {value!r}")
+        return value
+
     try:
         if family == "arnold":
             m = make_arnold()
         elif family == "gat":
-            m = make_generalized_arnold(int(take("k")), int(take("variant", 0)))
+            m = make_generalized_arnold(take_int("k"), take_int("variant", 0))
         elif family == "fibonacci-q":
             m = make_fibonacci_q()
         elif family == "gft":
-            m = make_gft(int(take("i")))
+            m = make_gft(take_int("i"))
         elif family in ("f11lt", "f32lt", "f31lt"):
             series = {v: k for k, v in _FLT_TAGS.items()}[family]
-            m = make_flt(series, int(take("i")))
+            m = make_flt(series, take_int("i"))
         elif family == "triangular":
-            m = make_triangular(int(take("k")), int(take("variant", 0)))
+            m = make_triangular(take_int("k"), take_int("variant", 0))
         elif family == "raw":
             entries = take("entries")
-            if not (isinstance(entries, (list, tuple)) and len(entries) == 4):
+            if not (
+                isinstance(entries, (list, tuple))
+                and len(entries) == 4
+                and all(type(v) is int for v in entries)
+            ):
                 raise KeyFormatError("raw entries must be a list of 4 integers")
-            m = make_raw(*(int(v) for v in entries))
+            m = make_raw(*entries)
         else:
             raise KeyFormatError(f"unknown map family {family!r}")
     except (ValueError, TypeError) as exc:

@@ -25,7 +25,7 @@ from modscramble import (
     scramble,
     validate,
 )
-from modscramble.attacks import spec_to_dict
+from modscramble.attacks import _DCT8, spec_to_dict
 
 from conftest import random_gray, random_rgb
 
@@ -139,6 +139,36 @@ def test_compression_handles_rgb_and_non_multiple_of_8_sides():
     img = random_rgb(21, seed=5)
     out = apply_attack(img, CompressSurrogate(50))
     assert out.pixels.shape == img.pixels.shape
+
+
+def compress_oracle(img, quality):
+    """Reference: the per-block loop, one 8x8 block and one plane at a time."""
+    table = CompressSurrogate(quality).scaled_table()
+
+    def plane(px):
+        n = px.shape[0]
+        pad = (-n) % 8
+        padded = np.pad(px, ((0, pad), (0, pad)), mode="edge").astype(np.float64) - 128.0
+        out = np.empty_like(padded)
+        for r in range(0, padded.shape[0], 8):
+            for c in range(0, padded.shape[1], 8):
+                coeffs = _DCT8 @ padded[r : r + 8, c : c + 8] @ _DCT8.T
+                coeffs = np.round(coeffs / table) * table
+                out[r : r + 8, c : c + 8] = _DCT8.T @ coeffs @ _DCT8
+        return out[:n, :n] + 128.0
+
+    px = img.pixels
+    planes = plane(px) if px.ndim == 2 else np.stack([plane(px[:, :, c]) for c in range(3)], axis=2)
+    return ImageGrid(np.clip(np.rint(planes), 0, 255).astype(np.uint8))
+
+
+@pytest.mark.parametrize("quality", [1, 10, 50, 100])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 61])
+def test_batched_compression_matches_the_per_block_loop(n, quality):
+    for img in (random_gray(n, seed=n), random_rgb(n, seed=n)):
+        out = apply_attack(img, CompressSurrogate(quality))
+        assert out.pixels.tobytes() == compress_oracle(img, quality).pixels.tobytes()
+        assert out.pixels.shape == img.pixels.shape
 
 
 # ------------------------------------------------------------------- metrics

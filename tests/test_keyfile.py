@@ -3,6 +3,7 @@ import json
 import pytest
 
 from modscramble import KeyFormatError, ScrambleKey, SequenceFamily, build_map
+from modscramble.cli import main
 from modscramble.keyfile import KEY_VERSION, dumps_key, key_from_dict, key_to_dict, loads_key
 
 F = SequenceFamily
@@ -65,6 +66,28 @@ def test_version_checked():
     doc["version"] = 2
     with pytest.raises(KeyFormatError):
         key_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"params": {"i": 6.7}},
+        {"params": {"i": "6"}},
+        {"params": {"i": True}},
+        {"family": "raw", "params": {"entries": [1.9, 1, 1, 2]}},
+        {"version": True},
+        {"version": 1.0},
+    ],
+)
+def test_non_integer_parameters_are_rejected_not_coerced(override, tmp_path, capsys):
+    doc = key_to_dict(make_key("f11lt", {"i": 6}))
+    doc.update(override)
+    with pytest.raises(KeyFormatError):
+        key_from_dict(doc)
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    assert main(["period", "--key", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [1, 0, -4, "128", 3.5, True])
