@@ -3,10 +3,12 @@
 
 Prints the five-family survey (parameters 1..16, modulus 128), the fixed-map
 periods at 128, and the small-grid (modulus 3) survey, comparing each cell
-against the golden rows shipped with the test suite.
+against the golden rows shipped with the test suite. At modulus 128 the
+script exits 1 if any family row differs from its golden row.
 """
 
 import argparse
+import sys
 
 from modscramble import make_arnold, make_fibonacci_q, make_flt, make_generalized_arnold, make_gft, period, period_survey, validate
 from modscramble.sequences import SequenceFamily as F
@@ -41,9 +43,11 @@ def main():
     print(f"\nfamily survey mod {args.n}, parameters 1..16:")
     survey = period_survey(list(GOLDEN_128), range(1, 17), args.n)
     print(survey.to_text())
+    differs = []
     if args.n == 128:
-        for fam, cells in survey.rows:
-            marker = "ok" if cells == GOLDEN_128[fam] else "DIFFERS from golden row"
+        differs = [fam for fam, cells in survey.rows if cells != GOLDEN_128[fam]]
+        for fam, _ in survey.rows:
+            marker = "DIFFERS from golden row" if fam in differs else "ok"
             print(f"  {fam}: {marker}")
 
     print("\nsmall-grid survey mod 3, parameters 1..8:")
@@ -53,7 +57,11 @@ def main():
         "\nindex-3 matrix (2, 3 / 3, 4) has order 2 mod 3 (oracle-confirmed, see"
         "\nRESULTS.md); that index is excluded from the family by its source."
     )
+    if differs:
+        print(f"survey rows DIFFER from golden: {', '.join(differs)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

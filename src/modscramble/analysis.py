@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScramblerError, PeriodCapError, WorkBoundError
+from .errors import IntegerOverflowError, InvalidScramblerError, PeriodCapError, WorkBoundError
 from .maps import (
     TransformMap,
     ValidatedMap,
@@ -24,12 +24,13 @@ from .maps import (
     validate,
 )
 from .scramble import ImageGrid, ScrambleKey, period, scramble
-from .sequences import SequenceFamily
+from .sequences import INT64_MAX, SequenceFamily
 
 #: Published reference count of unimodular 2x2 matrices with entries in 0..99.
 UNIMODULAR_REFERENCE_COUNT_0_99 = 24030
 
-#: Exhaustive-enumeration guard: candidate tuples examined, (hi-lo+1)^4.
+#: Largest accepted entry range, as (hi-lo+1)^4 candidate tuples. The count does
+#: (hi-lo+1)^2 work; the limit stays so the refused ranges and exit codes do too.
 ENUMERATION_WORK_BOUND = 10**9
 
 
@@ -159,45 +160,46 @@ def pattern_equivalent(a: ValidatedMap, b: ValidatedMap, reference: ImageGrid) -
     return sig_a.state_set == sig_b.state_set
 
 
-def enumerate_unimodular(
-    lo: int, hi: int, collect: bool = False, work_bound: int = ENUMERATION_WORK_BOUND
-) -> EnumerationReport:
-    """Exhaustively count matrices with entries in [lo, hi] and |det| = 1.
+def enumerate_unimodular(lo: int, hi: int, collect: bool = False) -> EnumerationReport:
+    """Count matrices (a, b / c, d) with entries in [lo, hi] and |det| = 1.
 
-    Every (a, b, c, d) candidate is examined (vectorized in chunks); the
-    breakdown by determinant sign is reported alongside the total.
+    |ad - bc| = 1 means bc = ad - 1 (det +1) or bc = ad + 1 (det -1). Every
+    product x*y of two entries is sorted once; the (b, c) partners of each
+    (a, d) are then the runs of that sorted array equal to ad - 1 and ad + 1,
+    found by binary search. Listed matrices are ordered by (a, d, b, c).
     """
     if lo > hi:
         raise ValueError(f"empty entry range: lo {lo} > hi {hi}")
     span = hi - lo + 1
     work = span**4
-    if work > work_bound:
+    if work > ENUMERATION_WORK_BOUND:
         raise WorkBoundError(
             f"range [{lo}, {hi}] needs {work} candidate tuples, "
-            f"above the work bound of {work_bound}"
+            f"above the work bound of {ENUMERATION_WORK_BOUND}"
+        )
+    if max(abs(lo), abs(hi)) ** 2 + 1 > INT64_MAX:
+        raise IntegerOverflowError(
+            f"range [{lo}, {hi}]: entry products plus one exceed the 64-bit signed range"
         )
     entries = np.arange(lo, hi + 1, dtype=np.int64)
-    bc = np.multiply.outer(entries, entries).ravel()
-    plus = 0
-    minus = 0
-    matrices: list[tuple[int, int, int, int]] = []
-    for a in entries:
-        dets = (a * entries)[:, None] - bc[None, :]  # d-major rows, (b,c)-major cols
-        plus += int(np.count_nonzero(dets == 1))
-        minus += int(np.count_nonzero(dets == -1))
-        if collect:
-            for d_idx, bc_idx in zip(*np.nonzero(np.abs(dets) == 1)):
-                matrices.append(
-                    (
-                        int(a),
-                        int(entries[bc_idx // span]),
-                        int(entries[bc_idx % span]),
-                        int(entries[d_idx]),
-                    )
-                )
-    return EnumerationReport(
-        lo, hi, plus + minus, plus, minus, tuple(matrices) if collect else None
-    )
+    prod = np.multiply.outer(entries, entries).ravel()  # [i*span + j] = entries[i]*entries[j]
+    order = np.argsort(prod)
+    ordered = prod[order]
+    targets = np.stack((prod - 1, prod + 1))  # rows: det +1, det -1
+    starts = np.searchsorted(ordered, targets, side="left")
+    runs = np.searchsorted(ordered, targets, side="right") - starts
+    plus, minus = runs.sum(axis=1).tolist()
+    matrices = None
+    if collect:
+        lengths = runs.ravel()
+        ad = np.repeat(np.tile(np.arange(prod.size), 2), lengths)
+        first = np.cumsum(lengths) - lengths  # offset of each run among the hits
+        bc = order[np.repeat(starts.ravel() - first, lengths) + np.arange(ad.size)]
+        hits = np.lexsort((bc, ad))
+        a, d = np.divmod(ad[hits], span)
+        b, c = np.divmod(bc[hits], span)
+        matrices = tuple(zip(*(entries[i].tolist() for i in (a, b, c, d))))
+    return EnumerationReport(lo, hi, plus + minus, plus, minus, matrices)
 
 
 #: Parameterized families a survey row can be built from. The generalized
@@ -234,13 +236,10 @@ def period_survey(families: list[str], params, n: int) -> SurveyReport:
     return SurveyReport(n, params, tuple(rows))
 
 
-def standard_family_maps(lo: int, hi: int, include_fixed: bool = True) -> list[TransformMap]:
+def standard_family_maps(lo: int, hi: int) -> list[TransformMap]:
     """The canonical map set used by property suites and equivalence reports:
     both fixed maps plus every surveyable family over parameters lo..hi."""
-    maps: list[TransformMap] = []
-    if include_fixed:
-        maps.append(make_arnold())
-        maps.append(make_fibonacci_q())
+    maps: list[TransformMap] = [make_arnold(), make_fibonacci_q()]
     for i in range(lo, hi + 1):
         for fam in ("gft", "gat", "f11lt", "f32lt", "f31lt", "triangular"):
             maps.append(SURVEY_FAMILIES[fam](i))

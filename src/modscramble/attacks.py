@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridShapeError
-from .scramble import ImageGrid, ScrambleKey, scramble, unscramble
+from .scramble import ImageGrid, ScrambleKey, _flat, scramble, unscramble
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,7 @@ def psnr(a: ImageGrid, b: ImageGrid) -> float:
 def changed_pixels(a: ImageGrid, b: ImageGrid) -> int:
     """Number of pixel POSITIONS that differ (any channel counts once)."""
     _check_same_shape(a, b)
-    n = a.side
-    diff = a.pixels.reshape(n * n, -1) != b.pixels.reshape(n * n, -1)
-    return int(np.count_nonzero(diff.any(axis=1)))
+    return int(np.count_nonzero(_flat(a.pixels) != _flat(b.pixels)))
 
 
 def spec_to_dict(spec: AttackSpec) -> dict:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from modscramble import (
+    IntegerOverflowError,
     PeriodCapError,
     ScrambleKey,
     SequenceFamily,
@@ -147,6 +148,11 @@ def brute_force_unimodular(lo, hi):
     return out
 
 
+def in_listing_order(matrices):
+    """Sorted by a, then d, b and c: the order JSON `matrices` promises."""
+    return tuple(sorted(matrices, key=lambda m: (m[0], m[3], m[1], m[2])))
+
+
 def test_enumeration_of_binary_matrices_matches_brute_force():
     expected = brute_force_unimodular(0, 1)
     report = enumerate_unimodular(0, 1, collect=True)
@@ -157,12 +163,14 @@ def test_enumeration_of_binary_matrices_matches_brute_force():
     assert (1, 1, 0, 1) in report.matrices
 
 
-def test_enumeration_matches_brute_force_on_a_signed_range():
-    expected = brute_force_unimodular(-2, 2)
-    report = enumerate_unimodular(-2, 2, collect=True)
+@pytest.mark.parametrize("lo, hi", [(-2, 2), (0, 1), (-5, 3), (3, 3), (-4, -1)])
+def test_enumeration_matches_brute_force_on_a_signed_range(lo, hi):
+    expected = brute_force_unimodular(lo, hi)
+    report = enumerate_unimodular(lo, hi, collect=True)
+    assert report.matrices == in_listing_order(expected)
     assert report.count == len(expected)
-    assert sorted(report.matrices) == sorted(expected)
     assert report.det_plus == sum(1 for m in expected if m[0] * m[3] - m[1] * m[2] == 1)
+    assert report.det_minus == sum(1 for m in expected if m[0] * m[3] - m[1] * m[2] == -1)
 
 
 def test_equal_entries_give_determinant_zero():
@@ -188,6 +196,15 @@ def test_enumeration_work_bound():
         enumerate_unimodular(0, 300)
     with pytest.raises(ValueError):
         enumerate_unimodular(3, 2)
+
+
+def test_enumeration_refuses_entries_whose_products_leave_64_bits():
+    # 3037000499**2 + 1 is the largest |ad| + 1 that fits in a signed int64
+    report = enumerate_unimodular(3037000496, 3037000499, collect=True)
+    assert report.matrices == in_listing_order(brute_force_unimodular(3037000496, 3037000499))
+    for lo, hi in [(3037000500, 3037000510), (-3037000500, -3037000499), (10**19, 10**19 + 1)]:
+        with pytest.raises(IntegerOverflowError):
+            enumerate_unimodular(lo, hi)
 
 
 def test_enumeration_json_fields():

@@ -193,12 +193,21 @@ def test_psnr_single_off_by_one_pixel():
     assert psnr(a, b) == pytest.approx(10 * math.log10(255**2 * 256), abs=1e-9)
 
 
-def test_changed_pixels_counts_positions_once_for_rgb():
-    a = ImageGrid(np.zeros((4, 4, 3), dtype=np.uint8))
-    px = np.zeros((4, 4, 3), dtype=np.uint8)
-    px[1, 1] = (5, 6, 7)
-    px[2, 3, 0] = 1
-    assert changed_pixels(a, ImageGrid(px)) == 2
+@pytest.mark.parametrize("rgb", [False, True])
+@pytest.mark.parametrize("n, seed", [(1, 0), (4, 1), (33, 2), (128, 3)])
+def test_changed_pixels_counts_positions_once_for_rgb(rgb, n, seed):
+    a = random_rgb(n, seed) if rgb else random_gray(n, seed)
+    rng = np.random.default_rng(seed)
+    moved = rng.random((n, n)) < 0.3
+    px = a.pixels.copy()
+    # flip some bits of one channel, or of all three, at every marked position
+    flips = rng.integers(1, 256, px.shape, dtype=np.uint8)
+    if rgb:
+        flips[rng.random((n, n)) < 0.5, 1:] = 0
+    px[moved] ^= flips[moved]
+    n_changed = changed_pixels(a, ImageGrid(px))
+    per_channel_any = (a.pixels.reshape(n * n, -1) != px.reshape(n * n, -1)).any(axis=1)
+    assert n_changed == np.count_nonzero(per_channel_any) == np.count_nonzero(moved)
 
 
 def test_metric_shape_mismatch():

@@ -178,6 +178,13 @@ def test_enumerate_range_guard(capsys):
     assert "work bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lo", ["3037000500", "10000000000000000000"])
+def test_enumerate_overflowing_range_exits_3(capsys, lo):
+    assert main(["enumerate", "--lo", lo, "--hi", str(int(lo) + 1)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "64-bit" in err and len(err.splitlines()) == 1
+
+
 def test_enumerate_json(capsys):
     rc = main(["enumerate", "--lo", "0", "--hi", "2", "--format", "json"])
     assert rc == 0

@@ -71,6 +71,11 @@ def test_truncated_data_rejected():
     assert "9" in str(err.value) and "5" in str(err.value)
 
 
+def test_bytes_after_the_raster_are_ignored():
+    img = random_rgb(5, seed=3)
+    assert read_pnm(write_pnm(img) + b"\nP5 1 1 255 \x07 trailing") == img
+
+
 def test_unknown_magic_rejected():
     with pytest.raises(PnmFormatError):
         read_pnm(b"P2 3 3 255 " + bytes(9))
