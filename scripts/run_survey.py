@@ -1,25 +1,18 @@
 #!/usr/bin/env python3
 """Reproduce the reference period tables at desk scale.
 
-Prints the five-family survey (parameters 1..16, modulus 128), the fixed-map
-periods at 128, and the small-grid (modulus 3) survey, comparing each cell
-against the golden rows shipped with the test suite. At modulus 128 the
-script exits 1 if any family row differs from its golden row.
+Prints the fixed-map periods and the five-family survey (parameters 1..16)
+at modulus 128, and the small-grid (modulus 3) survey. At modulus 128 each
+survey row is compared against its golden row in
+`analysis.SURVEY_REFERENCE_128`, and the script exits 1 if any row differs.
 """
 
 import argparse
 import sys
 
 from modscramble import make_arnold, make_fibonacci_q, make_flt, make_generalized_arnold, make_gft, period, period_survey, validate
+from modscramble.analysis import SURVEY_REFERENCE_128
 from modscramble.sequences import SequenceFamily as F
-
-GOLDEN_128 = {
-    "gft":   (128, 64, 128, 128, 16, 128, 128, 64, 128, 128, 8, 128, 128, 64, 128, 128),
-    "gat":   (128, 192, 64, 192, 128, 192, 32, 192, 128, 192, 64, 192, 128, 192, 16, 192),
-    "f11lt": (128, 64, 128, 128, 16, 128, 128, 64, 128, 128, 8, 128, 128, 64, 128, 128),
-    "f32lt": (64, 96, 192, 32, 192, 96, 64, 12, 192, 32, 192, 48, 64, 96, 192, 32),
-    "f31lt": (64, 64, 32, 64, 64, 8, 64, 64, 32, 64, 64, 4, 64, 64, 32, 64),
-}
 
 
 def main():
@@ -41,11 +34,11 @@ def main():
         print(f"  {m.label:12s} {period(validate(m, args.n)).period}")
 
     print(f"\nfamily survey mod {args.n}, parameters 1..16:")
-    survey = period_survey(list(GOLDEN_128), range(1, 17), args.n)
+    survey = period_survey(list(SURVEY_REFERENCE_128), range(1, 17), args.n)
     print(survey.to_text())
     differs = []
     if args.n == 128:
-        differs = [fam for fam, cells in survey.rows if cells != GOLDEN_128[fam]]
+        differs = [fam for fam, cells in survey.rows if cells != SURVEY_REFERENCE_128[fam]]
         for fam, _ in survey.rows:
             marker = "DIFFERS from golden row" if fam in differs else "ok"
             print(f"  {fam}: {marker}")

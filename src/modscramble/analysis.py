@@ -29,6 +29,15 @@ from .sequences import INT64_MAX, SequenceFamily
 #: Published reference count of unimodular 2x2 matrices with entries in 0..99.
 UNIMODULAR_REFERENCE_COUNT_0_99 = 24030
 
+#: Published reference period table: five survey families, parameters 1..16, modulus 128.
+SURVEY_REFERENCE_128 = {
+    "gft":   (128, 64, 128, 128, 16, 128, 128, 64, 128, 128, 8, 128, 128, 64, 128, 128),
+    "gat":   (128, 192, 64, 192, 128, 192, 32, 192, 128, 192, 64, 192, 128, 192, 16, 192),
+    "f11lt": (128, 64, 128, 128, 16, 128, 128, 64, 128, 128, 8, 128, 128, 64, 128, 128),
+    "f32lt": (64, 96, 192, 32, 192, 96, 64, 12, 192, 32, 192, 48, 64, 96, 192, 32),
+    "f31lt": (64, 64, 32, 64, 64, 8, 64, 64, 32, 64, 64, 4, 64, 64, 32, 64),
+}
+
 #: Largest accepted entry range, as (hi-lo+1)^4 candidate tuples. The count does
 #: (hi-lo+1)^2 work; the limit stays so the refused ranges and exit codes do too.
 ENUMERATION_WORK_BOUND = 10**9

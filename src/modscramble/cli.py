@@ -2,7 +2,8 @@
 unimodular enumeration and attack experiments.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 math error
-(map not invertible mod N, period cap or work bound exceeded, overflow).
+(map not invertible mod N, modulus above the period bound of 2^32, work
+bound exceeded, overflow).
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -105,6 +106,8 @@ def _key_from_args(args) -> ScrambleKey:
         raise UsageError("period needs either --key or --family")
     if args.n is None:
         raise UsageError("period needs --n with --family")
+    if args.n < 2:
+        raise UsageError(f"--n must be >= 2, got {args.n}")
     params = {}
     if args.i is not None:
         params["i"] = args.i
@@ -183,7 +186,10 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    report = analysis.enumerate_unimodular(args.lo, args.hi, collect=args.list)
+    try:
+        report = analysis.enumerate_unimodular(args.lo, args.hi, collect=args.list)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.format == "json":
         doc = report.to_json_dict()
         if (args.lo, args.hi) == (0, 99):

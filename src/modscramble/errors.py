@@ -48,7 +48,7 @@ class InvalidScramblerError(MathError):
 
 
 class PeriodCapError(MathError):
-    """Period search exhausted its iteration cap."""
+    """The period exceeds the cap the caller gave."""
 
     def __init__(self, label: str, n: int, cap: int):
         self.label = label
@@ -60,7 +60,7 @@ class PeriodCapError(MathError):
 
 
 class WorkBoundError(MathError):
-    """An exhaustive search would exceed its documented work bound."""
+    """An exhaustive search or a factorisation would exceed its documented work bound."""
 
 
 class GridShapeError(DataError):

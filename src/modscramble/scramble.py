@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridShapeError, PeriodCapError
-from .maps import IDENTITY, Entries, TransformMap, ValidatedMap, mat_mul_mod, power_mod, validate
+from .errors import GridShapeError, PeriodCapError, WorkBoundError
+from .maps import IDENTITY, Entries, TransformMap, ValidatedMap, power_mod, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,27 +190,60 @@ def scramble(img: ImageGrid, key: ScrambleKey) -> ImageGrid:
     return _as_grid(out, img)
 
 
-def period(vm: ValidatedMap, cap: int | None = None) -> PeriodReport:
-    """Smallest p >= 1 with map^p = identity mod n, by iterated multiplication.
+#: Largest modulus period() accepts. Trial division of N, and of q - 1 and
+#: q + 1 for each prime q of N, then takes at most 2**16 steps per number.
+PERIOD_MODULUS_BOUND = 2**32
 
-    The cap (default 6*n^2, comfortably above every observed order) turns a
-    runaway search into a PeriodCapError rather than a hang.
+
+def _primes(m: int) -> set[int]:
+    """Distinct prime factors of m >= 1, by trial division."""
+    primes = set()
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.add(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.add(m)
+    return primes
+
+
+def period(vm: ValidatedMap, cap: int | None = None) -> PeriodReport:
+    """Smallest p >= 1 with map^p = identity mod n: the order of the map in GL2(Z/n).
+
+    The order divides e = n * prod(q^2 - 1) over the primes q of n (Dyson &
+    Falk 1992; Bao & Yang 2012), so map^e = identity. Each prime r of e is
+    divided out of e while map^(e/r) is still the identity; what is left is
+    the order. The work grows with the size of n, not with the order: n
+    above PERIOD_MODULUS_BOUND raises WorkBoundError. An explicit cap raises
+    PeriodCapError when the order exceeds it; with no cap none applies.
     """
     n = vm.n
-    if cap is None:
-        cap = 6 * n * n
-    acc = vm.reduced
-    p = 1
-    while acc != IDENTITY:
-        if p >= cap:
-            raise PeriodCapError(vm.label, n, cap)
-        acc = mat_mul_mod(acc, vm.reduced, n)
-        p += 1
-    return PeriodReport(vm.label, n, p)
+    if n > PERIOD_MODULUS_BOUND:
+        raise WorkBoundError(
+            f"modulus {n} is above the period bound of {PERIOD_MODULUS_BOUND}"
+        )
+    primes = _primes(n)
+    e = n
+    candidates = set(primes)  # the primes of e
+    for q in primes:
+        e *= q * q - 1
+        candidates |= _primes(q - 1) | _primes(q + 1)
+    for r in candidates:
+        while e % r == 0 and power_mod(vm, e // r) == IDENTITY:
+            e //= r
+    if cap is not None and e > cap:
+        raise PeriodCapError(vm.label, n, cap)
+    return PeriodReport(vm.label, n, e)
 
 
 def plan_unscramble(vm: ValidatedMap, iterations: int) -> RoutePlan:
-    """Compare the forward (period - t) route against the inverse-map (t) route."""
+    """Compare the forward (period - t) route against the inverse-map (t) route.
+
+    Its cost is that of period(), which does not grow with the period.
+    """
     p = period(vm).period
     t = iterations % p
     forward = (p - t) % p

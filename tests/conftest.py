@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modscramble import ImageGrid, SequenceFamily
+from modscramble.maps import IDENTITY, mat_mul_mod
 
 # First 18 terms of each named series, 1-indexed (golden reference rows).
 SERIES_TERMS = {
@@ -49,6 +50,16 @@ def permutation_order(vm) -> int:
             j = dest[j]
             length += 1
         order = math.lcm(order, length)
+    return order
+
+
+def iterated_order(vm) -> int:
+    """Second oracle: multiply by the map until the identity comes back, with no cap."""
+    acc = vm.reduced
+    order = 1
+    while acc != IDENTITY:
+        acc = mat_mul_mod(acc, vm.reduced, vm.n)
+        order += 1
     return order
 
 

@@ -48,7 +48,11 @@ from modscramble import (
     validate,
     write_pnm,
 )
-from modscramble.analysis import SURVEY_FAMILIES, UNIMODULAR_REFERENCE_COUNT_0_99
+from modscramble.analysis import (
+    SURVEY_FAMILIES,
+    SURVEY_REFERENCE_128,
+    UNIMODULAR_REFERENCE_COUNT_0_99,
+)
 
 from conftest import grid, permutation_order, random_gray, random_rgb
 
@@ -82,15 +86,6 @@ def test_criterion_01_reference_periods_at_128():
 
 
 # --------------------------------------------------------------- criterion 2
-
-# Reference period table: five families, parameters 1..16, modulus 128.
-SURVEY_REFERENCE_128 = {
-    "gft":   (128, 64, 128, 128, 16, 128, 128, 64, 128, 128, 8, 128, 128, 64, 128, 128),
-    "gat":   (128, 192, 64, 192, 128, 192, 32, 192, 128, 192, 64, 192, 128, 192, 16, 192),
-    "f11lt": (128, 64, 128, 128, 16, 128, 128, 64, 128, 128, 8, 128, 128, 64, 128, 128),
-    "f32lt": (64, 96, 192, 32, 192, 96, 64, 12, 192, 32, 192, 48, 64, 96, 192, 32),
-    "f31lt": (64, 64, 32, 64, 64, 8, 64, 64, 32, 64, 64, 4, 64, 64, 32, 64),
-}
 
 # cells where the computed (oracle-confirmed) period differs from print
 SURVEY_128_DOCUMENTED_DISCREPANCIES: dict[tuple[str, int], tuple[int, int]] = {}

@@ -112,6 +112,39 @@ def test_period_usage_errors(capsys):
     assert main(["period", "--family", "raw", "--entries", "1,2,3", "--n", "7"]) == 1
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["period", "--family", "gft", "--i", "1", "--n", "10000000000000000000"],
+        ["survey", "--families", "gft", "--range", "1..2", "--n", "10000000000000000000"],
+        ["period", "--family", "arnold", "--n", str(2**32 + 1)],
+    ],
+)
+def test_moduli_above_the_period_bound_exit_3(capsys, argv):
+    assert main(argv) == 3
+    assert "period bound" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["period", "--family", "arnold", "--n", "1"],
+        ["period", "--family", "arnold", "--n", "-5"],
+        ["enumerate", "--lo", "5", "--hi", "1"],
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    assert main(argv) == 1
+    _one_error_line(capsys)
+
+
 def test_invalid_map_is_a_math_error(workspace, capsys):
     assert main(["period", "--family", "raw", "--entries", "2,0,0,2", "--n", "4"]) == 3
     assert "not invertible" in capsys.readouterr().err

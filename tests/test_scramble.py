@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modscramble import (
+    IDENTITY,
     GridShapeError,
     ImageGrid,
     InvalidScramblerError,
     PeriodCapError,
     ScrambleKey,
     SequenceFamily,
+    WorkBoundError,
     apply_point,
     make_arnold,
     make_fibonacci_q,
@@ -29,10 +31,11 @@ from modscramble import (
     unscramble,
     validate,
 )
+from modscramble import maps as maps_module
 from modscramble.analysis import standard_family_maps
-from modscramble.scramble import permutation_index
+from modscramble.scramble import PERIOD_MODULUS_BOUND, permutation_index
 
-from conftest import permutation_order, random_gray, random_rgb
+from conftest import iterated_order, permutation_order, random_gray, random_rgb
 
 F = SequenceFamily
 
@@ -166,6 +169,76 @@ def test_default_cap_never_fires_for_family_maps():
     for m in standard_family_maps(1, 8):
         p = period(validate(m, 16)).period
         assert 1 <= p < 6 * 16 * 16
+
+
+def _valid_maps(n: int, rng) -> list:
+    """Every valid standard family map mod n, plus 10 random valid raw maps."""
+    found = []
+    for m in standard_family_maps(1, 8):
+        try:
+            found.append(validate(m, n))
+        except InvalidScramblerError:
+            pass
+    raw = []
+    while len(raw) < 10:
+        try:
+            raw.append(validate(make_raw(*rng.integers(-3 * n, 3 * n, 4).tolist()), n))
+        except InvalidScramblerError:
+            pass
+    return found + raw
+
+
+def test_period_agrees_with_the_iterated_and_cycle_oracles():
+    rng = np.random.default_rng(2012)
+    for n in range(2, 65):
+        for vm in _valid_maps(n, rng):
+            p = period(vm).period
+            assert p == iterated_order(vm), (vm.label, n)
+            if n <= 16:
+                assert p == permutation_order(vm), (vm.label, n)
+
+
+def _prime_divisors(m: int) -> list[int]:
+    """Distinct primes of m, by trial division (a test-side copy, not the library's)."""
+    primes, q = [], 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return primes + ([m] if m > 1 else [])
+
+
+@pytest.mark.parametrize(
+    "entries,n,expected",
+    [((2, 4, 1, 1), 10007, 100140048), ((10, 5, 1, 1), 65521, 1073250360)],
+)
+def test_long_periods_are_exact_and_cost_few_multiplications(monkeypatch, entries, n, expected):
+    vm = validate(make_raw(*entries), n)
+    calls = 0
+    real = maps_module.mat_mul_mod
+
+    def counted(x, y, m):
+        nonlocal calls
+        calls += 1
+        return real(x, y, m)
+
+    monkeypatch.setattr(maps_module, "mat_mul_mod", counted)
+    p = period(vm).period
+    assert calls < 2000
+    monkeypatch.undo()
+    assert p == expected
+    assert power_mod(vm, p) == IDENTITY
+    for r in _prime_divisors(p):
+        assert power_mod(vm, p // r) != IDENTITY, r
+
+
+def test_period_at_the_modulus_bound():
+    assert PERIOD_MODULUS_BOUND == 2**32
+    assert period(validate(make_arnold(), 2**32)).period == 3221225472
+    with pytest.raises(WorkBoundError):
+        period(validate(make_arnold(), 2**32 + 1))
 
 
 # -------------------------------------------------------------- unscrambling
