@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Emit pattern-equivalence classes over the standard map set on the 3x3 grid.
+"""Emit pattern-equivalence classes over the standard map set on an n x n grid.
 
 Classes of size > 1 are flagged: a message scrambled by any map in such a
 class can be recovered by iterating any other member, so those maps should
 not be treated as distinct keys.
+
+The reference is an RGB grid of shuffled 24-bit ids, so its pixels are
+pairwise distinct: the classes are exact and are computed on matrices, with
+no orbit scrambled. Past n = 4096 no 24-bit grid is distinct, so larger n
+is refused.
 """
 
 import argparse
@@ -14,20 +19,26 @@ from modscramble import ImageGrid, equivalence_classes, standard_family_maps
 from modscramble.analysis import dumps_report
 
 
+def distinct_reference(n: int) -> ImageGrid:
+    """An n x n grid, n <= 4096, whose pixels are pairwise distinct."""
+    ids = np.random.default_rng(0).permutation(n * n)
+    rgb = np.stack([ids >> 16, ids >> 8, ids], axis=-1) & 255
+    return ImageGrid(rgb.astype(np.uint8).reshape(n, n, 3))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=3, help="grid side / modulus")
     parser.add_argument("--params", default="1..8", metavar="LO..HI")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     args = parser.parse_args()
+    if args.n < 2:
+        parser.error(f"--n must be >= 2, got {args.n}")
+    if args.n > 4096:
+        parser.error(f"--n {args.n}: an n x n grid of 24-bit pixels repeats a value past n = 4096")
 
     lo, _, hi = args.params.partition("..")
-    if args.n > 16:
-        # 8-bit pixels cannot stay pairwise distinct past n = 16; repeated
-        # values can merge orbit states and over-report equivalence
-        print(f"warning: n={args.n} reference grid has repeated pixel values")
-    values = np.arange(1, args.n * args.n + 1, dtype=np.int64) % 256
-    reference = ImageGrid(values.astype(np.uint8).reshape(args.n, args.n))
+    reference = distinct_reference(args.n)
     maps = standard_family_maps(int(lo), int(hi))
     report = equivalence_classes(maps, reference, args.n)
 

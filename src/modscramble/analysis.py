@@ -2,17 +2,26 @@
 
 Two maps are pattern-equivalent when iterating them from the same reference
 grid visits exactly the same set of grid states; a message scrambled by one
-can then be recovered by iterating the other. Surveys and the unimodular
+can then be recovered by iterating the other. When the reference has side n
+and pairwise-distinct pixels, the state set of a map A is its cyclic group
+<A> without the identity, so equivalence is decided on 2x2 matrices: equal
+orders and membership by baby-step giant-step. Any other reference is
+scrambled through the orbit, state by state. Surveys and the unimodular
 enumeration are the desk-scale reproductions of the reference period tables.
 """
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import IntegerOverflowError, InvalidScramblerError, PeriodCapError, WorkBoundError
 from .maps import (
+    IDENTITY,
+    Entries,
     TransformMap,
     ValidatedMap,
     make_arnold,
@@ -21,6 +30,8 @@ from .maps import (
     make_generalized_arnold,
     make_gft,
     make_triangular,
+    mat_mul_mod,
+    power_mod,
     validate,
 )
 from .scramble import ImageGrid, ScrambleKey, period, scramble
@@ -41,6 +52,10 @@ SURVEY_REFERENCE_128 = {
 #: Largest accepted entry range, as (hi-lo+1)^4 candidate tuples. The count does
 #: (hi-lo+1)^2 work; the limit stays so the refused ranges and exit codes do too.
 ENUMERATION_WORK_BOUND = 10**9
+
+#: Largest accepted survey, as families x parameters cells; checked on the
+#: size of the parameter range before anything is built from it.
+SURVEY_CELL_BOUND = 10**5
 
 
 @dataclass(frozen=True)
@@ -160,10 +175,69 @@ def orbit_signature(vm: ValidatedMap, reference: ImageGrid) -> OrbitSignature:
     return OrbitSignature(vm.label, vm.n, tuple(states))
 
 
+def _tells_matrices_apart(reference: ImageGrid, n: int) -> bool:
+    """True when each state A^t * reference fixes the matrix A^t mod n.
+
+    That holds when the reference has side n and pairwise-distinct pixels:
+    a state then fixes the pixel permutation, and the permutation fixes A^t
+    through the images of (1, 0) and (0, 1). Each pixel is packed into one
+    uint32, and the sorted keys must have no equal neighbours.
+    """
+    if reference.side != n:
+        return False
+    flat = reference.pixels.reshape(n * n, -1)
+    keys = np.zeros(n * n, dtype=np.uint32)
+    for channel in flat.T:
+        keys <<= 8
+        keys |= channel
+    keys.sort()
+    return not np.any(keys[1:] == keys[:-1])
+
+
+class _CyclicGroup:
+    """The group <A> of one map A of order p, compared by baby-step giant-step.
+
+    With m = ceil(sqrt(p)), every element of <A> is A^(i*m + j) for
+    0 <= i, j < m, so x is in <A> exactly when some x * A^(-i*m) is a baby
+    step A^j (Shanks 1971). The steps are built on the first comparison.
+    """
+
+    def __init__(self, vm: ValidatedMap, order: int):
+        self.vm = vm
+        self.order = order
+
+    @cached_property
+    def _steps(self) -> tuple[int, frozenset[Entries], Entries]:
+        vm, m = self.vm, math.isqrt(self.order - 1) + 1
+        baby, step = set(), IDENTITY
+        for _ in range(m):
+            baby.add(step)
+            step = mat_mul_mod(step, vm.reduced, vm.n)
+        return m, frozenset(baby), power_mod(vm, self.order - m)  # giant step A^(-m)
+
+    def generated_by(self, vm: ValidatedMap, order: int) -> bool:
+        """<B> = <A> for the map B = vm of the given order: equal orders, and B in <A>."""
+        if order != self.order:
+            return False
+        m, baby, giant = self._steps
+        x = vm.reduced
+        for _ in range(m):
+            if x in baby:
+                return True
+            x = mat_mul_mod(x, giant, vm.n)
+        return False
+
+
 def pattern_equivalent(a: ValidatedMap, b: ValidatedMap, reference: ImageGrid) -> bool:
-    """True when both maps visit the same state set from the reference grid."""
+    """True when both maps visit the same state set from the reference grid.
+
+    On a reference of side n with pairwise-distinct pixels this is
+    <a> = <b>, decided on matrices; otherwise both orbits are scrambled.
+    """
     if a.n != b.n:
         raise ValueError(f"maps validated for different moduli: {a.n} vs {b.n}")
+    if _tells_matrices_apart(reference, a.n):
+        return _CyclicGroup(a, period(a).period).generated_by(b, period(b).period)
     sig_a = orbit_signature(a, reference)
     sig_b = orbit_signature(b, reference)
     return sig_a.state_set == sig_b.state_set
@@ -225,12 +299,31 @@ SURVEY_FAMILIES = {
 
 
 def period_survey(families: list[str], params, n: int) -> SurveyReport:
-    """Period of every (family, parameter) pair mod n; per-cell failures recorded."""
+    """Period of every (family, parameter) pair mod n; per-cell failures recorded.
+
+    params is any iterable of indices. A survey of more than SURVEY_CELL_BOUND
+    parameters or cells raises WorkBoundError before any cell is computed: a
+    sized collection such as a range is checked by len() and never read past
+    the bound, an unsized one is read up to SURVEY_CELL_BOUND + 1 items.
+    """
     unknown = [f for f in families if f not in SURVEY_FAMILIES]
     if unknown:
         raise ValueError(
             f"not a surveyable family: {unknown} (choose from {sorted(SURVEY_FAMILIES)})"
         )
+    bound = f"above the cell bound of {SURVEY_CELL_BOUND}"
+    if hasattr(params, "__len__"):
+        try:
+            count = len(params)
+        except OverflowError:  # a range longer than sys.maxsize
+            raise WorkBoundError(f"survey of more than sys.maxsize parameters is {bound}") from None
+    else:
+        params = tuple(itertools.islice(params, SURVEY_CELL_BOUND + 1))
+        count = len(params)
+    if count > SURVEY_CELL_BOUND:
+        raise WorkBoundError(f"survey of more than {SURVEY_CELL_BOUND} parameters is {bound}")
+    if len(families) * count > SURVEY_CELL_BOUND:
+        raise WorkBoundError(f"survey of {len(families) * count} cells is {bound}")
     params = tuple(params)
     rows = []
     for fam in families:
@@ -258,13 +351,32 @@ def standard_family_maps(lo: int, hi: int) -> list[TransformMap]:
 def equivalence_classes(
     maps: list[TransformMap], reference: ImageGrid, n: int
 ) -> EquivalenceReport:
-    """Group maps by identical orbit signature on the reference grid."""
-    groups: dict[frozenset, list[str]] = {}
+    """Group maps by identical orbit state set on the reference grid.
+
+    Classes keep the order in which their first member appears, and each
+    class keeps its members in input order. On a reference of side n with
+    pairwise-distinct pixels, a map joins the first class whose
+    representative generates the same cyclic group, found by order and
+    baby-step giant-step; no image is scrambled. Any other reference is
+    grouped by its orbit signatures.
+    """
+    if not _tells_matrices_apart(reference, n):
+        groups: dict[frozenset, list[str]] = {}
+        for m in maps:
+            sig = orbit_signature(validate(m, n), reference)
+            groups.setdefault(sig.state_set, []).append(m.label)
+        return EquivalenceReport(n, tuple(tuple(labels) for labels in groups.values()))
+    classes: list[tuple[_CyclicGroup, list[str]]] = []
     for m in maps:
-        sig = orbit_signature(validate(m, n), reference)
-        groups.setdefault(sig.state_set, []).append(m.label)
-    classes = tuple(tuple(labels) for labels in groups.values())
-    return EquivalenceReport(n, classes)
+        vm = validate(m, n)
+        order = period(vm).period
+        for group, labels in classes:
+            if group.generated_by(vm, order):
+                labels.append(m.label)
+                break
+        else:
+            classes.append((_CyclicGroup(vm, order), [m.label]))
+    return EquivalenceReport(n, tuple(tuple(labels) for _, labels in classes))
 
 
 def dumps_report(obj: dict) -> str:

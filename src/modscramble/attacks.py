@@ -241,8 +241,8 @@ def _check_same_shape(a: ImageGrid, b: ImageGrid) -> None:
 def sse(a: ImageGrid, b: ImageGrid) -> int:
     """Exact integer sum of squared per-channel differences."""
     _check_same_shape(a, b)
-    diff = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
-    return int(np.sum(diff * diff, dtype=np.int64))
+    d = np.subtract(a.pixels, b.pixels, dtype=np.int16).reshape(-1)
+    return int(np.einsum("i,i->", d, d, dtype=np.int64))
 
 
 def mse(a: ImageGrid, b: ImageGrid) -> float:

@@ -2,8 +2,8 @@
 unimodular enumeration and attack experiments.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 math error
-(map not invertible mod N, modulus above the period bound of 2^32, work
-bound exceeded, overflow).
+(map not invertible mod N, modulus above the period bound of 2^32, work or
+survey cell bound exceeded, overflow).
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--families", required=True,
                    help=f"comma list from {sorted(analysis.SURVEY_FAMILIES)}")
     p.add_argument("--range", required=True, dest="param_range", metavar="LO..HI",
-                   help="parameter range, e.g. 1..16 (LO > HI means empty)")
+                   help="parameter range, e.g. 1..16 (LO <= HI)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["table", "json"], default="table")
 
@@ -165,13 +165,18 @@ def _parse_range(text: str) -> range:
     if not sep:
         raise UsageError(f"--range must look like LO..HI, got {text!r}")
     try:
-        return range(int(lo), int(hi) + 1)
+        params = range(int(lo), int(hi) + 1)
     except ValueError:
         raise UsageError(f"--range bounds must be integers, got {text!r}") from None
+    if not params:
+        raise UsageError(f"--range is empty: LO > HI in {text!r}")
+    return params
 
 
 def _cmd_survey(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if args.n < 2:
+        raise UsageError(f"--n must be >= 2, got {args.n}")
     try:
         report = analysis.period_survey(families, _parse_range(args.param_range), args.n)
     except ValueError as exc:

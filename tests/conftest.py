@@ -63,6 +63,31 @@ def iterated_order(vm) -> int:
     return order
 
 
+def proper_powers(vm) -> frozenset:
+    """Third oracle: the matrices M^k mod n for 1 <= k < period, by repeated products.
+
+    On a reference of side n with pairwise-distinct pixels, the state set of
+    a map is exactly this set, so two maps share a pattern when their sets
+    are equal.
+    """
+    a, b, c, d = vm.reduced
+    n = vm.n
+    powers = set()
+    acc = vm.reduced
+    while acc != (1, 0, 0, 1):
+        powers.add(acc)
+        w, x, y, z = acc
+        acc = ((w * a + x * c) % n, (w * b + x * d) % n, (y * a + z * c) % n, (y * b + z * d) % n)
+    return frozenset(powers)
+
+
+def distinct_rgb(n: int, seed: int = 0) -> ImageGrid:
+    """An n x n RGB grid, n <= 4096, of shuffled pairwise-distinct 24-bit ids."""
+    ids = np.random.default_rng(seed).permutation(n * n)
+    rgb = np.stack([ids >> 16, ids >> 8, ids], axis=-1) & 255
+    return ImageGrid(rgb.astype(np.uint8).reshape(n, n, 3))
+
+
 @pytest.fixture
 def reference_a() -> ImageGrid:
     """The 3x3 grid 1..9 used by every golden scrambling table."""

@@ -1,10 +1,13 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from modscramble import (
+    GridShapeError,
     IntegerOverflowError,
+    InvalidScramblerError,
     PeriodCapError,
     ScrambleKey,
     SequenceFamily,
@@ -18,13 +21,14 @@ from modscramble import (
     period,
     pattern_equivalent,
     period_survey,
+    power_mod,
     scramble,
     standard_family_maps,
     validate,
 )
 from modscramble import analysis
 
-from conftest import grid
+from conftest import distinct_rgb, grid, proper_powers
 
 F = SequenceFamily
 
@@ -138,6 +142,131 @@ def test_equivalence_classes_report(reference_a):
     assert "AVOID" in report.to_text()
 
 
+# ------------------------------------- algebraic equivalence (distinct pixels)
+
+def image_path_classes(maps, reference, n):
+    """The orbit-image grouping, by state sets of scrambled grids."""
+    groups = {}
+    for m in maps:
+        groups.setdefault(orbit_signature(validate(m, n), reference).state_set, []).append(m.label)
+    return tuple(tuple(labels) for labels in groups.values())
+
+
+def subgroup_classes(maps, n):
+    groups = {}
+    for m in maps:
+        groups.setdefault(proper_powers(validate(m, n)), []).append(m.label)
+    return tuple(tuple(labels) for labels in groups.values())
+
+
+def sweep_maps(n, count=10):
+    """Every valid standard map mod n, then seeded random raw maps and their squares."""
+    maps = []
+    for m in standard_family_maps(1, 8):
+        try:
+            validate(m, n)
+        except InvalidScramblerError:
+            continue
+        maps.append(m)
+    target = len(maps) + count
+    rng = np.random.default_rng(n)
+    while len(maps) < target:
+        m = make_raw(*(int(v) for v in rng.integers(0, n, 4)))
+        try:
+            vm = validate(m, n)
+        except InvalidScramblerError:
+            continue
+        maps += [m, make_raw(*power_mod(vm, 2))]
+    return maps
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_algebraic_classes_match_the_image_path_and_the_subgroup_oracle(n):
+    maps = sweep_maps(n)
+    expected = subgroup_classes(maps, n)
+    references = [distinct_rgb(n, seed=n)]
+    if n <= 16:
+        gray = np.random.default_rng(n).permutation(n * n).astype(np.uint8)
+        references.append(grid(gray.reshape(n, n)))
+    for reference in references:
+        report = equivalence_classes(maps, reference, n)
+        assert report.classes == image_path_classes(maps, reference, n) == expected
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_a_distinct_reference_scrambles_no_image(monkeypatch, reference_a, n):
+    reference = reference_a if n == 3 else distinct_rgb(n)
+    maps = standard_family_maps(1, 8)
+    expected = subgroup_classes(maps, n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit image was computed")
+
+    monkeypatch.setattr(analysis, "orbit_signature", refuse)
+    monkeypatch.setattr(analysis, "scramble", refuse)
+    assert equivalence_classes(maps, reference, n).classes == expected
+    for i, j in [(1, 5), (1, 2), (2, 2)]:
+        a, b = validate(make_gft(i), n), validate(make_gft(j), n)
+        assert pattern_equivalent(a, b, reference) == (proper_powers(a) == proper_powers(b))
+
+
+def _count_orbit_signatures(monkeypatch):
+    calls = []
+    real = analysis.orbit_signature
+
+    def counted(vm, reference):
+        calls.append(vm.label)
+        return real(vm, reference)
+
+    monkeypatch.setattr(analysis, "orbit_signature", counted)
+    return calls
+
+
+def test_a_constant_grid_still_takes_the_image_path(monkeypatch):
+    calls = _count_orbit_signatures(monkeypatch)
+    flat = grid([[7, 7, 7], [7, 7, 7], [7, 7, 7]])
+    maps = [make_gft(1), make_flt(F.FIB11, 7), make_raw(1, 0, 0, 1)]
+    report = equivalence_classes(maps, flat, 3)
+    # every moving map only ever shows the constant grid; the identity shows nothing
+    assert report.classes == (("GFT_1", "F(11)LT_7"), ("raw(1, 0, 0, 1)",))
+    assert len(calls) == 3
+    assert pattern_equivalent(validate(maps[0], 3), validate(maps[1], 3), flat)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("rgb", [False, True])
+def test_one_repeated_pixel_takes_the_image_path(monkeypatch, rgb):
+    n = 4
+    px = distinct_rgb(n).pixels.copy() if rgb else np.arange(n * n, dtype=np.uint8).reshape(n, n)
+    px[3, 2] = px[0, 1]
+    reference = grid(px)
+    calls = _count_orbit_signatures(monkeypatch)
+    maps = sweep_maps(n, count=4)
+    report = equivalence_classes(maps, reference, n)
+    assert len(calls) == len(maps)
+    assert report.classes == image_path_classes(maps, reference, n)
+
+
+def test_a_side_mismatch_still_raises_grid_shape_error(reference_a):
+    with pytest.raises(GridShapeError):
+        equivalence_classes([make_gft(1)], reference_a, 5)
+    with pytest.raises(GridShapeError):
+        pattern_equivalent(validate(make_gft(1), 5), validate(make_gft(2), 5), reference_a)
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+def test_pattern_equivalent_agrees_with_equivalence_classes(n, reference_a):
+    reference = reference_a if n == 3 else distinct_rgb(n)
+    maps = sweep_maps(n, count=4)
+    report = equivalence_classes(maps, reference, n)
+    class_of = {label: i for i, c in enumerate(report.classes) for label in c}
+    vms = [validate(m, n) for m in maps]
+    for a in vms:
+        for b in vms:
+            same = class_of[a.label] == class_of[b.label]
+            assert pattern_equivalent(a, b, reference) == same, (a.label, b.label)
+
+
 # ---------------------------------------------------------------- enumerate
 
 def brute_force_unimodular(lo, hi):
@@ -232,6 +361,48 @@ def test_empty_range_gives_an_empty_table():
     assert report.params == ()
     assert all(cells == () for _, cells in report.rows)
     assert report.error_count == 0
+
+
+class SizedOnly:
+    """A parameter collection that has a size but must never be iterated."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        raise AssertionError("the parameters were iterated")
+
+
+def test_survey_cell_bound_is_checked_before_the_parameters_are_read():
+    families = ["gft", "gat"]
+    half = analysis.SURVEY_CELL_BOUND // 2
+    with pytest.raises(WorkBoundError, match="cell bound"):
+        period_survey(families, SizedOnly(half + 1), 8)
+    with pytest.raises(WorkBoundError, match="more than sys.maxsize parameters .* cell bound"):
+        period_survey(["gft"], range(1, 10**20), 8)
+    with pytest.raises(WorkBoundError, match="cell bound"):
+        period_survey(["gft"], range(1, 10**18), 8)
+    with pytest.raises(AssertionError, match="iterated"):  # at the bound: accepted
+        period_survey(families, SizedOnly(half), 8)
+
+
+def test_survey_takes_unsized_parameters_up_to_the_bound():
+    families = ["gft", "triangular"]
+    from_generator = period_survey(families, (i for i in range(1, 7)), 8)
+    assert from_generator == period_survey(families, range(1, 7), 8)
+    read = []
+
+    def endless():
+        for i in itertools.count(1):
+            read.append(i)
+            yield i
+
+    with pytest.raises(WorkBoundError, match="more than .* parameters .* cell bound"):
+        period_survey(families, endless(), 8)
+    assert len(read) == analysis.SURVEY_CELL_BOUND + 1
 
 
 def test_unknown_family_is_rejected():

@@ -25,7 +25,7 @@ from modscramble import (
     scramble,
     validate,
 )
-from modscramble.attacks import _DCT8, spec_to_dict
+from modscramble.attacks import _DCT8, spec_to_dict, sse
 
 from conftest import random_gray, random_rgb
 
@@ -191,6 +191,26 @@ def test_psnr_single_off_by_one_pixel():
     px[0, 0] = 1
     b = ImageGrid(px)
     assert psnr(a, b) == pytest.approx(10 * math.log10(255**2 * 256), abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(1024, 1024), (1024, 1024, 3)])
+def test_sse_of_opposite_extremes_is_exact_at_full_size(shape):
+    black = ImageGrid(np.zeros(shape, dtype=np.uint8))
+    white = ImageGrid(np.full(shape, 255, dtype=np.uint8))
+    expected = math.prod(shape) * 255**2  # N^2 * C * 65025
+    assert sse(black, white) == sse(white, black) == expected
+    assert mse(black, white) == 255.0**2
+
+
+@pytest.mark.parametrize("rgb", [False, True])
+@pytest.mark.parametrize("n, seed", [(1, 0), (5, 1), (64, 2), (333, 3)])
+def test_sse_matches_the_int64_expression(rgb, n, seed):
+    a = random_rgb(n, seed) if rgb else random_gray(n, seed)
+    b = random_rgb(n, seed + 100) if rgb else random_gray(n, seed + 100)
+    diff = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
+    result = sse(a, b)
+    assert type(result) is int
+    assert result == int(np.sum(diff * diff, dtype=np.int64))
 
 
 @pytest.mark.parametrize("rgb", [False, True])

@@ -138,6 +138,8 @@ def test_moduli_above_the_period_bound_exit_3(capsys, argv):
         ["period", "--family", "arnold", "--n", "1"],
         ["period", "--family", "arnold", "--n", "-5"],
         ["enumerate", "--lo", "5", "--hi", "1"],
+        ["survey", "--families", "gft", "--range", "1..2", "--n", "1"],
+        ["survey", "--families", "gft", "--range", "5..1", "--n", "8"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
@@ -170,8 +172,14 @@ def test_survey_json_output(capsys):
 
 def test_survey_empty_range(capsys):
     rc = main(["survey", "--families", "gft", "--range", "5..2", "--n", "8"])
-    assert rc == 0
-    assert capsys.readouterr().out.strip().splitlines()[0].strip() == "family"
+    assert rc == 1
+    assert "--range is empty" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("hi", ["2000000", "100000000000000000000"])
+def test_survey_above_the_cell_bound_exits_3(capsys, hi):
+    assert main(["survey", "--families", "gft", "--range", f"1..{hi}", "--n", "8"]) == 3
+    assert "cell bound" in _one_error_line(capsys)
 
 
 def test_survey_cell_errors_keep_exit_zero(capsys, monkeypatch):
