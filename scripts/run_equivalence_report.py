@@ -15,7 +15,12 @@ import argparse
 
 import numpy as np
 
-from modscramble import ImageGrid, equivalence_classes, standard_family_maps
+from modscramble import (
+    ImageGrid,
+    SequenceOverflowError,
+    equivalence_classes,
+    standard_family_maps,
+)
 from modscramble.analysis import dumps_report
 
 
@@ -24,6 +29,17 @@ def distinct_reference(n: int) -> ImageGrid:
     ids = np.random.default_rng(0).permutation(n * n)
     rgb = np.stack([ids >> 16, ids >> 8, ids], axis=-1) & 255
     return ImageGrid(rgb.astype(np.uint8).reshape(n, n, 3))
+
+
+def largest_index() -> int:
+    """Largest parameter at which every standard family still fits in 64 bits."""
+    i = 1
+    while True:
+        try:
+            standard_family_maps(i + 1, i + 1)
+        except SequenceOverflowError:
+            return i
+        i += 1
 
 
 def main():
@@ -38,9 +54,22 @@ def main():
         parser.error(f"--n {args.n}: an n x n grid of 24-bit pixels repeats a value past n = 4096")
 
     lo, _, hi = args.params.partition("..")
-    reference = distinct_reference(args.n)
-    maps = standard_family_maps(int(lo), int(hi))
-    report = equivalence_classes(maps, reference, args.n)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        parser.error(f"--params must look like LO..HI with integer bounds, got {args.params!r}")
+    if lo < 1:
+        parser.error(f"--params {args.params}: LO must be >= 1")
+    if lo > hi:
+        parser.error(f"--params {args.params} is empty: LO > HI")
+    try:
+        maps = standard_family_maps(lo, hi)
+    except SequenceOverflowError:
+        parser.error(
+            f"--params {args.params}: a family term leaves 64 bits; "
+            f"the largest valid index is {largest_index()}"
+        )
+    report = equivalence_classes(maps, distinct_reference(args.n), args.n)
 
     if args.format == "json":
         print(dumps_report(report.to_json_dict()))

@@ -8,7 +8,6 @@ from .errors import (
     KeyFormatError,
     MathError,
     ModScrambleError,
-    PeriodCapError,
     PnmFormatError,
     SequenceOverflowError,
     WorkBoundError,

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IntegerOverflowError, InvalidScramblerError, PeriodCapError, WorkBoundError
+from .errors import IntegerOverflowError, InvalidScramblerError, WorkBoundError
 from .maps import (
     IDENTITY,
     Entries,
@@ -236,11 +236,7 @@ def pattern_equivalent(a: ValidatedMap, b: ValidatedMap, reference: ImageGrid) -
     """
     if a.n != b.n:
         raise ValueError(f"maps validated for different moduli: {a.n} vs {b.n}")
-    if _tells_matrices_apart(reference, a.n):
-        return _CyclicGroup(a, period(a).period).generated_by(b, period(b).period)
-    sig_a = orbit_signature(a, reference)
-    sig_b = orbit_signature(b, reference)
-    return sig_a.state_set == sig_b.state_set
+    return len(equivalence_classes([a.map, b.map], reference, a.n).classes) == 1
 
 
 def enumerate_unimodular(lo: int, hi: int, collect: bool = False) -> EnumerationReport:
@@ -332,7 +328,7 @@ def period_survey(families: list[str], params, n: int) -> SurveyReport:
         for p in params:
             try:
                 cells.append(period(validate(build(p), n)).period)
-            except (InvalidScramblerError, PeriodCapError, ValueError) as exc:
+            except (InvalidScramblerError, ValueError) as exc:
                 cells.append(f"ERROR: {exc}")
         rows.append((fam, tuple(cells)))
     return SurveyReport(n, params, tuple(rows))
@@ -343,8 +339,7 @@ def standard_family_maps(lo: int, hi: int) -> list[TransformMap]:
     both fixed maps plus every surveyable family over parameters lo..hi."""
     maps: list[TransformMap] = [make_arnold(), make_fibonacci_q()]
     for i in range(lo, hi + 1):
-        for fam in ("gft", "gat", "f11lt", "f32lt", "f31lt", "triangular"):
-            maps.append(SURVEY_FAMILIES[fam](i))
+        maps.extend(build(i) for build in SURVEY_FAMILIES.values())
     return maps
 
 

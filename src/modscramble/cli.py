@@ -39,8 +39,6 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("key")
     p.add_argument("output")
-    p.add_argument("--route", choices=["forward", "inverse"], default=None,
-                   help="decryption route to report; both give the same bytes")
     p.add_argument("--verbose", action="store_true",
                    help="report the chosen route and both route costs")
 
@@ -138,10 +136,10 @@ def _cmd_unscramble(args) -> int:
         plan = plan_unscramble(key.validated(), key.iterations)
         print(
             f"period {plan.period}: forward route {plan.forward_steps} steps, "
-            f"inverse route {plan.inverse_steps} steps; using {args.route or plan.chosen}",
+            f"inverse route {plan.inverse_steps} steps; using {plan.chosen}",
             file=sys.stderr,
         )
-    pnm.save_pnm(args.output, unscramble(img, key, route=args.route))
+    pnm.save_pnm(args.output, unscramble(img, key))
     return 0
 
 
@@ -153,7 +151,6 @@ def _cmd_period(args) -> int:
             "label": report.label,
             "n": report.n,
             "period": report.period,
-            "iteration_cap_hit": report.iteration_cap_hit,
         }))
     else:
         print(f"{report.label} mod {report.n}: period {report.period}")

@@ -47,18 +47,6 @@ class InvalidScramblerError(MathError):
         )
 
 
-class PeriodCapError(MathError):
-    """The period exceeds the cap the caller gave."""
-
-    def __init__(self, label: str, n: int, cap: int):
-        self.label = label
-        self.n = n
-        self.cap = cap
-        super().__init__(
-            f"period of {label} mod {n} exceeds the safety cap of {cap} iterations"
-        )
-
-
 class WorkBoundError(MathError):
     """An exhaustive search or a factorisation would exceed its documented work bound."""
 

@@ -61,7 +61,9 @@ def key_from_dict(doc: dict) -> ScrambleKey:
 def loads_key(text: str) -> ScrambleKey:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise KeyFormatError("key file nests JSON arrays or objects too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise KeyFormatError(f"key file is not valid JSON: {exc}") from exc
     return key_from_dict(doc)
 

@@ -56,6 +56,8 @@ def read_pnm(data: bytes) -> ImageGrid:
     for name in ("width", "height", "maxval"):
         try:
             tok, offset = next(toks)
+            if not tok.isdigit():  # ASCII digits only: int() also takes b"+5" and b"4_0"
+                raise ValueError(tok)
             fields.append(int(tok))
         except (StopIteration, ValueError):
             raise PnmFormatError(f"malformed header: bad {name}") from None

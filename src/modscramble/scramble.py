@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridShapeError, PeriodCapError, WorkBoundError
+from .errors import GridShapeError, WorkBoundError
 from .maps import IDENTITY, Entries, TransformMap, ValidatedMap, power_mod, validate
 
 
@@ -80,7 +80,6 @@ class PeriodReport:
     label: str
     n: int
     period: int
-    iteration_cap_hit: bool = False
 
 
 @dataclass(frozen=True)
@@ -210,15 +209,14 @@ def _primes(m: int) -> set[int]:
     return primes
 
 
-def period(vm: ValidatedMap, cap: int | None = None) -> PeriodReport:
+def period(vm: ValidatedMap) -> PeriodReport:
     """Smallest p >= 1 with map^p = identity mod n: the order of the map in GL2(Z/n).
 
     The order divides e = n * prod(q^2 - 1) over the primes q of n (Dyson &
     Falk 1992; Bao & Yang 2012), so map^e = identity. Each prime r of e is
     divided out of e while map^(e/r) is still the identity; what is left is
     the order. The work grows with the size of n, not with the order: n
-    above PERIOD_MODULUS_BOUND raises WorkBoundError. An explicit cap raises
-    PeriodCapError when the order exceeds it; with no cap none applies.
+    above PERIOD_MODULUS_BOUND raises WorkBoundError.
     """
     n = vm.n
     if n > PERIOD_MODULUS_BOUND:
@@ -234,8 +232,6 @@ def period(vm: ValidatedMap, cap: int | None = None) -> PeriodReport:
     for r in candidates:
         while e % r == 0 and power_mod(vm, e // r) == IDENTITY:
             e //= r
-    if cap is not None and e > cap:
-        raise PeriodCapError(vm.label, n, cap)
     return PeriodReport(vm.label, n, e)
 
 
@@ -251,19 +247,15 @@ def plan_unscramble(vm: ValidatedMap, iterations: int) -> RoutePlan:
     return RoutePlan(p, forward, t, chosen)
 
 
-def unscramble(img: ImageGrid, key: ScrambleKey, route: str | None = None) -> ImageGrid:
+def unscramble(img: ImageGrid, key: ScrambleKey) -> ImageGrid:
     """Exact inverse of scramble with the same key: out[x, y] = in[M^t (x, y)].
 
     It gathers through the same cached index that scramble scatters through,
-    so it needs only M^t: no period search and no inverse matrix. The two
-    routes of the paper, "forward" (iterate the map period - t more times)
-    and "inverse" (iterate the inverse map t times), are the same
-    permutation; route None, "forward" and "inverse" all run this one gather
-    and give the same bytes. plan_unscramble still reports the routes' costs.
+    so it needs only M^t: no period and no inverse matrix. The paper's two
+    routes, iterating the map period - t more times or the inverse map t
+    times, give the same permutation; plan_unscramble reports their costs.
     """
     vm = _check_key(img, key)
-    if route not in (None, "forward", "inverse"):
-        raise ValueError(f"route must be 'forward' or 'inverse', got {route!r}")
     matrix = power_mod(vm, key.iterations)
     if matrix == IDENTITY:
         return img

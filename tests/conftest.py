@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modscramble import ImageGrid, SequenceFamily
+from modscramble import ImageGrid, ScrambleKey, SequenceFamily, inverse_mod, period, scramble
 from modscramble.maps import IDENTITY, mat_mul_mod
 
 # First 18 terms of each named series, 1-indexed (golden reference rows).
@@ -79,6 +79,18 @@ def proper_powers(vm) -> frozenset:
         w, x, y, z = acc
         acc = ((w * a + x * c) % n, (w * b + x * d) % n, (y * a + z * c) % n, (y * b + z * d) % n)
     return frozenset(powers)
+
+
+def forward_route(scrambled: ImageGrid, key: ScrambleKey) -> ImageGrid:
+    """The paper's forward decryption: iterate the map period - t more times."""
+    p = period(key.validated()).period
+    return scramble(scrambled, ScrambleKey(key.map, key.n, (p - key.iterations) % p))
+
+
+def inverse_route(scrambled: ImageGrid, key: ScrambleKey) -> ImageGrid:
+    """The paper's inverse decryption: iterate the inverse map t times."""
+    inverse = inverse_mod(key.validated()).map
+    return scramble(scrambled, ScrambleKey(inverse, key.n, key.iterations))
 
 
 def distinct_rgb(n: int, seed: int = 0) -> ImageGrid:

@@ -32,6 +32,7 @@ from modscramble import (
     determinant,
     enumerate_unimodular,
     equivalence_classes,
+    inverse_mod,
     make_arnold,
     make_fibonacci_q,
     make_flt,
@@ -54,7 +55,14 @@ from modscramble.analysis import (
     UNIMODULAR_REFERENCE_COUNT_0_99,
 )
 
-from conftest import grid, permutation_order, random_gray, random_rgb
+from conftest import (
+    forward_route,
+    grid,
+    inverse_route,
+    permutation_order,
+    random_gray,
+    random_rgb,
+)
 
 F = SequenceFamily
 
@@ -220,24 +228,26 @@ def test_criterion_08_inverse_route_reproduction():
     scrambled = scramble(img, key)
 
     t0 = time.perf_counter()
-    via_forward = unscramble(scrambled, key, route="forward")
+    via_forward = forward_route(scrambled, key)
     t_fwd = time.perf_counter() - t0
     t0 = time.perf_counter()
-    via_inverse = unscramble(scrambled, key, route="inverse")
+    via_inverse = inverse_route(scrambled, key)
     t_inv = time.perf_counter() - t0
 
     ok = (
         plan.forward_steps == 108
         and plan.inverse_steps == 20
+        and inverse_mod(key.validated()).reduced == (18, 115, 117, 8)
         and via_forward == img
         and via_inverse == img
+        and unscramble(scrambled, key) == img
     )
     # wall-clock comparison reported, not asserted
     _line(
         8,
         ok,
-        f"both routes recover bit-exactly; work 108 vs 20 steps; "
-        f"wall clock {t_fwd * 1000:.2f} ms vs {t_inv * 1000:.2f} ms",
+        f"forward (108 steps) and inverse (20 steps of (18, 115 / 117, 8)) routes "
+        f"recover bit-exactly; wall clock {t_fwd * 1000:.2f} ms vs {t_inv * 1000:.2f} ms",
     )
 
 
@@ -265,9 +275,9 @@ def test_criterion_09_property_suite_small_moduli():
             key = ScrambleKey(m, n, t)
             s = scramble(img, key)
             assert sorted(s.pixels.ravel()) == sorted(img.pixels.ravel()), (m.label, n)
-            fwd = unscramble(s, key, route="forward")
-            inv = unscramble(s, key, route="inverse")
-            assert fwd == inv == img, (m.label, n, t)
+            fwd = forward_route(s, key)
+            inv = inverse_route(s, key)
+            assert unscramble(s, key) == fwd == inv == img, (m.label, n, t)
             combos += 1
     elapsed = time.perf_counter() - t0
     ok = combos == 15 * len(maps) and elapsed < 30.0

@@ -8,7 +8,6 @@ from modscramble import (
     GridShapeError,
     IntegerOverflowError,
     InvalidScramblerError,
-    PeriodCapError,
     ScrambleKey,
     SequenceFamily,
     WorkBoundError,
@@ -413,16 +412,16 @@ def test_unknown_family_is_rejected():
 def test_survey_isolates_per_cell_failures(monkeypatch):
     real_period = analysis.period
 
-    def flaky(vm, cap=None):
+    def flaky(vm):
         if vm.map.label == "GFT_2":
-            raise PeriodCapError(vm.map.label, vm.n, 7)
+            raise InvalidScramblerError(vm.map.label, vm.n, 2, 2)
         return real_period(vm)
 
     monkeypatch.setattr(analysis, "period", flaky)
     report = period_survey(["gft"], range(1, 4), 8)
     cells = report.rows[0][1]
     assert isinstance(cells[0], int) and isinstance(cells[2], int)
-    assert isinstance(cells[1], str) and "cap" in cells[1]
+    assert isinstance(cells[1], str) and "not invertible" in cells[1]
     assert report.error_count == 1
 
 

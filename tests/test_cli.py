@@ -65,14 +65,13 @@ def test_unscramble_verbose_reports_both_route_costs(tmp_path, capsys):
     assert load_pnm(tmp_path / "b.pgm") == img
 
 
-def test_unscramble_forced_routes_agree(workspace):
-    s = workspace / "s.pgm"
-    main(["scramble", str(workspace / "a.pgm"), str(workspace / "arnold3.json"), str(s)])
-    for route in ("forward", "inverse"):
-        rc = main(["unscramble", str(s), str(workspace / "arnold3.json"),
-                   str(workspace / f"{route}.pgm"), "--route", route])
-        assert rc == 0
-    assert (workspace / "forward.pgm").read_bytes() == (workspace / "inverse.pgm").read_bytes()
+def test_unscramble_route_option_is_a_usage_error(workspace, capsys):
+    out = workspace / "out.pgm"
+    rc = main(["unscramble", str(workspace / "a.pgm"), str(workspace / "arnold3.json"),
+               str(out), "--route", "inverse"])
+    assert rc == 1
+    assert "--route" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_corrupt_key_file(workspace, capsys):
@@ -97,7 +96,7 @@ def test_period_command_prints_the_period(capsys):
 def test_period_command_json(capsys):
     assert main(["period", "--family", "arnold", "--n", "128", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc == {"label": "arnold", "n": 128, "period": 96, "iteration_cap_hit": False}
+    assert doc == {"label": "arnold", "n": 128, "period": 96}
 
 
 def test_period_from_key_file(workspace, capsys):
@@ -184,13 +183,13 @@ def test_survey_above_the_cell_bound_exits_3(capsys, hi):
 
 def test_survey_cell_errors_keep_exit_zero(capsys, monkeypatch):
     from modscramble import analysis
-    from modscramble.errors import PeriodCapError
+    from modscramble.errors import InvalidScramblerError
 
     real = analysis.period
 
-    def flaky(vm, cap=None):
+    def flaky(vm):
         if vm.map.label == "GFT_2":
-            raise PeriodCapError(vm.map.label, vm.n, 7)
+            raise InvalidScramblerError(vm.map.label, vm.n, 2, 2)
         return real(vm)
 
     monkeypatch.setattr(analysis, "period", flaky)
@@ -199,6 +198,10 @@ def test_survey_cell_errors_keep_exit_zero(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "ERROR" in captured.out
     assert "1 cell(s) failed" in captured.err
+    rc = main(["survey", "--families", "gft", "--range", "1..3", "--n", "8", "--format", "json"])
+    assert rc == 0
+    errors = json.loads(capsys.readouterr().out)["rows"][0]["errors"]
+    assert errors[0] is None and errors[2] is None and "not invertible" in errors[1]
 
 
 def test_survey_usage_errors():

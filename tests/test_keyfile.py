@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modscramble import KeyFormatError, ScrambleKey, SequenceFamily, build_map
+from modscramble import KeyFormatError, ModScrambleError, ScrambleKey, SequenceFamily, build_map
 from modscramble.cli import main
 from modscramble.keyfile import KEY_VERSION, dumps_key, key_from_dict, key_to_dict, loads_key
 
@@ -118,3 +120,59 @@ def test_not_json_rejected():
         loads_key("{not json")
     with pytest.raises(KeyFormatError):
         loads_key(json.dumps([1, 2, 3]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100000,  # nests past the interpreter's recursion limit
+        '{"a": ' * 100000,
+        json.dumps(key_to_dict(make_key("arnold", {})))[:-1] + ', "x": ' + "9" * 5000 + "}",
+    ],
+    ids=["deep-array", "deep-object", "long-integer"],
+)
+def test_unparseable_key_text_is_a_key_format_error(text, tmp_path, capsys):
+    with pytest.raises(KeyFormatError):
+        loads_key(text)
+    path = tmp_path / "k.json"
+    path.write_text(text)
+    assert main(["period", "--key", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_PARAMS = st.dictionaries(
+    st.sampled_from(["i", "k", "variant", "entries", "spin"]),
+    st.integers(-3, 100) | st.lists(st.integers(-5, 5), min_size=3, max_size=5) | _JSON,
+    max_size=3,
+)
+_KEY_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "version": st.just(KEY_VERSION) | _JSON,
+        "family": st.sampled_from(
+            ["arnold", "gat", "fibonacci-q", "gft", "f11lt", "f32lt", "f31lt", "triangular", "raw"]
+        ) | _JSON,
+        "params": _PARAMS | _JSON,
+        "n": st.integers(-3, 300) | _JSON,
+        "iterations": st.integers(-3, 300) | _JSON,
+        "extra": _JSON,
+    },
+)
+
+
+@given(doc=_KEY_DOCS | _JSON, cut=st.integers(0, 8))
+@settings(max_examples=50, deadline=None)
+def test_loads_key_fuzz_parses_or_raises_a_library_error(doc, cut):
+    text = json.dumps(doc)
+    for candidate in (text, text[: len(text) - cut]):
+        try:
+            key = loads_key(candidate)
+        except ModScrambleError:
+            continue
+        assert isinstance(key, ScrambleKey)

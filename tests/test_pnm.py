@@ -2,8 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modscramble import PnmFormatError, ScrambleKey, make_flt, read_pnm, scramble, unscramble, write_pnm
+from modscramble import (
+    ImageGrid,
+    ModScrambleError,
+    PnmFormatError,
+    ScrambleKey,
+    make_arnold,
+    make_flt,
+    read_pnm,
+    scramble,
+    unscramble,
+    write_pnm,
+)
 from modscramble import SequenceFamily as F
+from modscramble.cli import main
+from modscramble.keyfile import write_key_file
 
 from conftest import grid, random_gray, random_rgb
 
@@ -86,6 +99,56 @@ def test_garbage_header_rejected():
         read_pnm(b"P5 three 3 255 " + bytes(9))
     with pytest.raises(PnmFormatError):
         read_pnm(b"P5 3 3")
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P5 4_0 4_0 0255 ",
+        b"P5 +40 40 255 ",
+        b"P5 40 40 +255 ",
+        b"P5 40 40 2_55 ",
+    ],
+)
+def test_header_fields_are_ascii_digits_only(header, tmp_path, capsys):
+    data = header + bytes(40 * 40)
+    with pytest.raises(PnmFormatError, match="malformed header"):
+        read_pnm(data)
+    (tmp_path / "in.pgm").write_bytes(data)
+    write_key_file(tmp_path / "k.json", ScrambleKey(make_arnold(), 40, 1))
+    rc = main(["scramble", str(tmp_path / "in.pgm"), str(tmp_path / "k.json"), str(tmp_path / "out.pgm")])
+    assert rc == 2
+    assert "malformed header" in capsys.readouterr().err
+    assert not (tmp_path / "out.pgm").exists()
+
+
+def test_header_fields_may_have_leading_zeros():
+    img = read_pnm(b"P5 003 03 0255 " + bytes(range(1, 10)))
+    assert img.pixels.tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+
+
+_HEADER_TOKENS = (
+    st.integers(-2, 20).map(str)
+    | st.sampled_from(["255", "0255", "4_0", "+3", "0x3", "1e1", "#c\n", "\u0663", "99999999999"])
+    | st.text(alphabet="0123456789+-_# \n\t", min_size=1, max_size=5)
+)
+
+
+@given(
+    magic=st.sampled_from([b"P5", b"P6"]),
+    tokens=st.lists(_HEADER_TOKENS, max_size=4),
+    separator=st.sampled_from([b" ", b"\n", b"\t"]),
+    raster=st.integers(0, 3 * 20 * 20 + 2),
+)
+@settings(max_examples=50, deadline=None)
+def test_read_pnm_fuzz_parses_or_raises_a_library_error(magic, tokens, separator, raster):
+    data = separator.join([magic] + [t.encode() for t in tokens]) + separator + bytes(raster)
+    try:
+        img = read_pnm(data)
+    except ModScrambleError:
+        return
+    assert isinstance(img, ImageGrid)
+    assert img.side * img.side * img.channels <= raster
 
 
 def test_scramble_survives_a_save_load_cycle():

@@ -13,7 +13,6 @@ from modscramble import (
     GridShapeError,
     ImageGrid,
     InvalidScramblerError,
-    PeriodCapError,
     ScrambleKey,
     SequenceFamily,
     WorkBoundError,
@@ -35,7 +34,14 @@ from modscramble import maps as maps_module
 from modscramble.analysis import standard_family_maps
 from modscramble.scramble import PERIOD_MODULUS_BOUND, permutation_index
 
-from conftest import iterated_order, permutation_order, random_gray, random_rgb
+from conftest import (
+    forward_route,
+    inverse_route,
+    iterated_order,
+    permutation_order,
+    random_gray,
+    random_rgb,
+)
 
 F = SequenceFamily
 
@@ -157,14 +163,6 @@ def test_period_agrees_with_the_permutation_oracle():
             assert period(vm).period == permutation_order(vm)
 
 
-def test_period_cap_is_an_error():
-    vm = validate(make_arnold(), 128)
-    with pytest.raises(PeriodCapError) as err:
-        period(vm, cap=2)
-    assert err.value.cap == 2
-    assert err.value.n == 128
-
-
 def test_default_cap_never_fires_for_family_maps():
     for m in standard_family_maps(1, 8):
         p = period(validate(m, 16)).period
@@ -264,16 +262,7 @@ def test_route_equivalence_on_random_triples():
         img = random_gray(n, seed=trial)
         key = ScrambleKey(m, n, t)
         s = scramble(img, key)
-        fwd = unscramble(s, key, route="forward")
-        inv = unscramble(s, key, route="inverse")
-        assert fwd == inv == img
-
-
-def test_unscramble_rejects_unknown_route():
-    img = random_gray(4, seed=0)
-    key = ScrambleKey(make_arnold(), 4, 1)
-    with pytest.raises(ValueError):
-        unscramble(img, key, route="sideways")
+        assert unscramble(s, key) == forward_route(s, key) == inverse_route(s, key) == img
 
 
 def test_plan_picks_the_cheaper_route():
@@ -469,12 +458,11 @@ def test_threads_build_one_index_at_a_time(monkeypatch):
     assert peak[0] == 1
 
 
-@pytest.mark.parametrize("route", [None, "forward", "inverse"])
-def test_unscramble_never_searches_the_period(monkeypatch, route):
+def test_unscramble_never_searches_the_period(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("unscramble searched the period")
 
     monkeypatch.setattr(importlib.import_module("modscramble.scramble"), "period", no_search)
     img = random_rgb(32, seed=9)
     key = ScrambleKey(make_flt(F.FIB11, 6), 32, 20)
-    assert unscramble(scramble(img, key), key, route=route) == img
+    assert unscramble(scramble(img, key), key) == img
