@@ -129,7 +129,7 @@ def _to_grid(arr: np.ndarray) -> ImageGrid:
     """Round and clamp a float array to bytes; arr is overwritten on the way."""
     np.rint(arr, out=arr)
     np.clip(arr, 0, 255, out=arr)
-    return ImageGrid(arr.astype(np.uint8))
+    return ImageGrid._own(arr.astype(np.uint8))
 
 
 def _salt_pepper(img: ImageGrid, spec: SaltPepper) -> ImageGrid:
@@ -141,7 +141,7 @@ def _salt_pepper(img: ImageGrid, spec: SaltPepper) -> ImageGrid:
         flat = rng.choice(n * n, size=count, replace=False)
         values = rng.integers(0, 2, size=count, dtype=np.uint8) * 255
         out.reshape(n * n, -1)[flat] = values[:, None]
-    return ImageGrid(out)
+    return ImageGrid._own(out)
 
 
 def _gaussian(img: ImageGrid, spec: GaussianNoise) -> ImageGrid:
@@ -168,7 +168,7 @@ def _crop(img: ImageGrid, spec: Crop) -> ImageGrid:
         )
     out = img.pixels.copy()
     out[spec.row0 : spec.row0 + spec.height, spec.col0 : spec.col0 + spec.width] = spec.fill
-    return ImageGrid(out)
+    return ImageGrid._own(out)
 
 
 def _dct_matrix(size: int = 8) -> np.ndarray:

@@ -1,5 +1,20 @@
 """Exception hierarchy, split by CLI exit-code category."""
 
+#: Most characters of an untrusted value that an error message shows.
+SHOWN_CHARS = 80
+
+
+def clip(text: str) -> str:
+    """text for an error message, cut to SHOWN_CHARS characters with its length noted.
+
+    Key files and images are untrusted input; a message that echoes a value
+    from them (a field name, a family, a magic number) shows it through here,
+    so a huge value cannot make a huge message.
+    """
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
 
 class ModScrambleError(Exception):
     """Base class for all library errors."""

@@ -14,7 +14,7 @@ Schema (version 1), all fields required, unknown fields rejected::
 
 import json
 
-from .errors import KeyFormatError
+from .errors import KeyFormatError, clip
 from .maps import build_map
 from .scramble import ScrambleKey
 
@@ -38,22 +38,23 @@ def key_from_dict(doc: dict) -> ScrambleKey:
         raise KeyFormatError("key document must be a JSON object")
     unknown = set(doc) - _FIELDS
     if unknown:
-        raise KeyFormatError(f"unknown key fields: {sorted(unknown)}")
+        raise KeyFormatError(f"unknown key fields: {clip(repr(sorted(unknown)))}")
     missing = _FIELDS - set(doc)
     if missing:
         raise KeyFormatError(f"missing key fields: {sorted(missing)}")
     if type(doc["version"]) is not int or doc["version"] != KEY_VERSION:
         raise KeyFormatError(
-            f"unsupported key version {doc['version']!r}; this build reads version {KEY_VERSION}"
+            f"unsupported key version {clip(repr(doc['version']))}; "
+            f"this build reads version {KEY_VERSION}"
         )
     if not isinstance(doc["params"], dict):
         raise KeyFormatError("params must be a JSON object")
     n = doc["n"]
     t = doc["iterations"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise KeyFormatError(f"n must be an integer >= 2, got {n!r}")
+        raise KeyFormatError(f"n must be an integer >= 2, got {clip(repr(n))}")
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise KeyFormatError(f"iterations must be an integer >= 0, got {t!r}")
+        raise KeyFormatError(f"iterations must be an integer >= 0, got {clip(repr(t))}")
     m = build_map(doc["family"], doc["params"])
     return ScrambleKey(m, n, t)
 

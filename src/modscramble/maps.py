@@ -22,7 +22,7 @@ triangular, parameter k, variants 0..3::
 import math
 from dataclasses import dataclass, field
 
-from .errors import IntegerOverflowError, InvalidScramblerError, KeyFormatError
+from .errors import IntegerOverflowError, InvalidScramblerError, KeyFormatError, clip
 from .sequences import FLT_SERIES, INT64_MAX, SequenceFamily, term
 
 Entries = tuple[int, int, int, int]
@@ -230,19 +230,20 @@ def power_mod(vm: ValidatedMap, e: int) -> Entries:
 def build_map(family: str, params: dict) -> TransformMap:
     """Single registry from (family tag, params) to a map; shared by key files and CLI."""
     spare = dict(params)
+    shown = clip(repr(family))
 
     def take(name, default=None):
         if name in spare:
             return spare.pop(name)
         if default is not None:
             return default
-        raise KeyFormatError(f"family {family!r} requires parameter {name!r}")
+        raise KeyFormatError(f"family {shown} requires parameter {name!r}")
 
     def take_int(name, default=None):
         # exact int only: a float, string or bool is rejected, never coerced
         value = take(name, default)
         if type(value) is not int:
-            raise KeyFormatError(f"parameter {name!r} must be an integer, got {value!r}")
+            raise KeyFormatError(f"parameter {name!r} must be an integer, got {clip(repr(value))}")
         return value
 
     try:
@@ -269,11 +270,11 @@ def build_map(family: str, params: dict) -> TransformMap:
                 raise KeyFormatError("raw entries must be a list of 4 integers")
             m = make_raw(*entries)
         else:
-            raise KeyFormatError(f"unknown map family {family!r}")
+            raise KeyFormatError(f"unknown map family {shown}")
     except (ValueError, TypeError) as exc:
-        raise KeyFormatError(f"bad parameters for family {family!r}: {exc}") from exc
+        raise KeyFormatError(f"bad parameters for family {shown}: {clip(str(exc))}") from exc
     if spare:
         raise KeyFormatError(
-            f"unknown parameters for family {family!r}: {sorted(spare)}"
+            f"unknown parameters for family {shown}: {clip(repr(sorted(spare)))}"
         )
     return m

@@ -13,7 +13,7 @@ through the end of the line; comments are never emitted on write.
 
 import numpy as np
 
-from .errors import PnmFormatError
+from .errors import PnmFormatError, clip
 from .scramble import ImageGrid
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -50,7 +50,7 @@ def read_pnm(data: bytes) -> ImageGrid:
     elif magic == b"P6":
         channels = 3
     else:
-        raise PnmFormatError(f"unsupported magic {magic!r}; only binary P5/P6")
+        raise PnmFormatError(f"unsupported magic {clip(repr(magic))}; only binary P5/P6")
     fields = []
     offset = 0
     for name in ("width", "height", "maxval"):
@@ -75,21 +75,24 @@ def read_pnm(data: bytes) -> ImageGrid:
         raise PnmFormatError("missing whitespace after maxval")
     start = offset + 1
     need = width * height * channels
-    raster = data[start : start + need]
-    if len(raster) < need:
+    if len(data) - start < need:
         raise PnmFormatError(
-            f"truncated pixel data: expected {need} bytes, got {len(raster)}"
+            f"truncated pixel data: expected {need} bytes, got {len(data) - start}"
         )
-    px = np.frombuffer(raster, dtype=np.uint8)
+    # A view of the raster in data; ImageGrid makes the one copy.
+    px = np.frombuffer(data, dtype=np.uint8, count=need, offset=start)
     shape = (height, width) if channels == 1 else (height, width, 3)
     return ImageGrid(px.reshape(shape))
 
 
-def write_pnm(img: ImageGrid) -> bytes:
-    """Canonical, deterministic serialization of a grid."""
+def _header(img: ImageGrid) -> bytes:
     magic = b"P5" if img.channels == 1 else b"P6"
-    header = magic + b"\n%d %d\n255\n" % (img.side, img.side)
-    return header + img.pixels.tobytes()
+    return magic + b"\n%d %d\n255\n" % (img.side, img.side)
+
+
+def write_pnm(img: ImageGrid) -> bytes:
+    """Canonical, deterministic serialization of a grid, made with one copy of the pixels."""
+    return b"".join((_header(img), img.pixels))
 
 
 def load_pnm(path) -> ImageGrid:
@@ -98,5 +101,7 @@ def load_pnm(path) -> ImageGrid:
 
 
 def save_pnm(path, img: ImageGrid) -> None:
+    """Write the bytes of write_pnm(img) without joining them: header, then pixel buffer."""
     with open(path, "wb") as fh:
-        fh.write(write_pnm(img))
+        fh.write(_header(img))
+        fh.write(memoryview(img.pixels))

@@ -176,3 +176,39 @@ def test_loads_key_fuzz_parses_or_raises_a_library_error(doc, cut):
         except ModScrambleError:
             continue
         assert isinstance(key, ScrambleKey)
+
+
+def _doc(**fields):
+    doc = {"version": 1, "family": "gft", "params": {"i": 5}, "n": 16, "iterations": 3}
+    doc.update(fields)
+    return doc
+
+
+HUGE = "x" * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_doc(), **{f"extra{i}": 0 for i in range(100_000)}},
+        _doc(version=HUGE),
+        _doc(family=HUGE),
+        _doc(params={"i": HUGE}),
+        _doc(params={"i": -(10**4000)}),
+        _doc(params={"i": 5, **{f"p{i}": 0 for i in range(100_000)}}),
+        _doc(n=HUGE),
+        _doc(iterations=HUGE),
+    ],
+    ids=["fields", "version", "family", "param-value", "param-range", "params", "n", "iterations"],
+)
+def test_errors_show_a_bounded_part_of_a_huge_value(doc, tmp_path, capsys):
+    with pytest.raises(KeyFormatError) as err:
+        key_from_dict(doc)
+    assert len(str(err.value)) < 300
+    (tmp_path / "k.json").write_text(json.dumps(doc))
+    rc = main(["period", "--key", str(tmp_path / "k.json")])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert len(out.err.encode()) < 300

@@ -17,6 +17,7 @@ from modscramble import (
 from modscramble import SequenceFamily as F
 from modscramble.cli import main
 from modscramble.keyfile import write_key_file
+from modscramble.pnm import save_pnm
 
 from conftest import grid, random_gray, random_rgb
 
@@ -157,3 +158,27 @@ def test_scramble_survives_a_save_load_cycle():
     key = ScrambleKey(make_flt(F.FIB11, 6), 32, 9)
     stored = write_pnm(scramble(img, key))
     assert unscramble(read_pnm(stored), key) == img
+
+
+def test_a_huge_magic_is_shown_in_part(tmp_path, capsys):
+    data = b"P" + b"5" * 1_000_000  # no whitespace: the whole stream is the magic
+    with pytest.raises(PnmFormatError, match="unsupported magic") as err:
+        read_pnm(data)
+    assert len(str(err.value)) < 300
+    (tmp_path / "big.pgm").write_bytes(data)
+    write_key_file(tmp_path / "k.json", ScrambleKey(make_arnold(), 40, 1))
+    rc = main(["unscramble", str(tmp_path / "big.pgm"), str(tmp_path / "k.json"), str(tmp_path / "out.pgm")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+    assert not (tmp_path / "out.pgm").exists()
+
+
+@pytest.mark.parametrize("make_image", [random_gray, random_rgb], ids=["gray", "rgb"])
+def test_save_pnm_writes_the_bytes_of_write_pnm(make_image, tmp_path):
+    img = make_image(17, seed=6)
+    key = ScrambleKey(make_flt(F.FIB11, 6), 17, 4)
+    for grid_ in (img, scramble(img, key), unscramble(img, key)):
+        save_pnm(tmp_path / "out.pnm", grid_)
+        assert (tmp_path / "out.pnm").read_bytes() == write_pnm(grid_)

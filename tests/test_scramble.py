@@ -1,6 +1,8 @@
 import importlib
+import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -466,3 +468,115 @@ def test_unscramble_never_searches_the_period(monkeypatch):
     img = random_rgb(32, seed=9)
     key = ScrambleKey(make_flt(F.FIB11, 6), 32, 20)
     assert unscramble(scramble(img, key), key) == img
+
+
+# ---------------------------------------------------------------- split passes
+
+@pytest.mark.parametrize("make_image", [random_gray, random_rgb], ids=["gray", "rgb"])
+@pytest.mark.parametrize("parts, n", [(2, 31), (2, 32), (3, 31), (3, 32)])
+def test_split_and_single_passes_give_equal_bytes(monkeypatch, make_image, parts, n):
+    # n = 31 gives parts of unequal size; 32 * 32 is not a multiple of 3
+    module = importlib.import_module("modscramble.scramble")
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(module.threading, "Thread", CountingThread)
+    monkeypatch.setattr(module, "_usable_cpus", lambda: parts)
+    vm = _random_invertible(np.random.default_rng(n), n)
+    key = ScrambleKey(vm.map, n, 5)
+    img = make_image(n, seed=parts)
+    dest = _oracle_destinations(vm, 5)
+    gathered = img.pixels.reshape(n * n, -1)[dest].reshape(img.pixels.shape)
+    results = {}
+    for split, threshold in (("single", n * n + 1), ("split", n * n)):
+        monkeypatch.setattr(module, "_SPLIT_PIXELS", threshold)
+        started.clear()
+        scrambled = scramble(img, key)
+        gathered_out, back = unscramble(img, key), unscramble(scrambled, key)
+        results[split] = scrambled, gathered_out, back
+        assert len(started) == (0 if split == "single" else 3 * (parts - 1))
+        assert np.array_equal(scrambled.pixels, _oracle_scramble(img, dest)), split
+        assert np.array_equal(gathered_out.pixels, gathered), split
+        assert back == img, split
+    for single, split in zip(results["single"], results["split"]):
+        assert single.tobytes() == split.tobytes()
+
+
+def test_an_exception_in_a_worker_part_reaches_the_caller():
+    module = importlib.import_module("modscramble.scramble")
+    done = []
+
+    def work(lo, hi):
+        if lo > 0:
+            raise RuntimeError(f"part {lo}..{hi} failed")
+        done.append((lo, hi))
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="part 5..10 failed"):
+        module._run_parts(work, [(0, 5), (5, 10)])
+    assert done == [(0, 5)]
+    assert threading.active_count() == before  # the worker was joined
+
+
+def test_many_parts_under_fast_thread_switching(monkeypatch):
+    # more parts than cores, switching threads every microsecond: a lost or
+    # misplaced write in any part changes the bytes
+    module = importlib.import_module("modscramble.scramble")
+    img = random_rgb(61, seed=12)
+    key = ScrambleKey(make_flt(F.FIB32, 3), 61, 7)
+    expected = scramble(img, key)
+    monkeypatch.setattr(module, "_SPLIT_PIXELS", 1)
+    monkeypatch.setattr(module, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert scramble(img, key) == expected
+            assert unscramble(expected, key) == img
+    finally:
+        sys.setswitchinterval(interval)
+
+@pytest.mark.parametrize("threshold", [1, 2**62], ids=["split", "single"])
+@pytest.mark.parametrize("make_image", [random_gray, random_rgb], ids=["gray", "rgb"])
+def test_pass_results_are_read_only_and_share_no_memory(monkeypatch, threshold, make_image):
+    monkeypatch.setattr(importlib.import_module("modscramble.scramble"), "_SPLIT_PIXELS", threshold)
+    img = make_image(33, seed=4)
+    key = ScrambleKey(make_arnold(), 33, 7)
+    for out in (scramble(img, key), unscramble(img, key)):
+        assert not out.pixels.flags.writeable
+        assert not np.shares_memory(out.pixels, img.pixels)
+        with pytest.raises(ValueError):
+            out.pixels[0, 0] = 0
+
+
+def test_public_image_grid_keeps_its_own_copy():
+    px = np.arange(16, dtype=np.uint8).reshape(4, 4)
+    img = ImageGrid(px)
+    px[0, 0] = 99
+    assert img.pixels[0, 0] == 0
+    assert not np.shares_memory(img.pixels, px)
+    assert not img.pixels.flags.writeable
+
+
+@pytest.mark.parametrize("make_image", [random_gray, random_rgb], ids=["gray", "rgb"])
+def test_a_pass_allocates_less_than_a_copy_of_the_index(make_image):
+    # np.take and np.put copy a read-only index (8 bytes per pixel) on every
+    # call; the passes hand them the cache's writable one. A pass allocates
+    # its output, and np.put one staging copy of the source: 6 bytes per RGB pixel.
+    img = make_image(256, seed=5)
+    key = ScrambleKey(make_flt(F.FIB11, 6), 256, 20)
+    scramble(img, key)  # builds the index
+    tracemalloc.start()
+    try:
+        for run in (scramble, unscramble):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = run(img, key)
+            assert tracemalloc.get_traced_memory()[1] - before < 8 * 256 * 256
+            del out
+    finally:
+        tracemalloc.stop()
