@@ -43,8 +43,10 @@ class GaussianNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0 <= self.variance < math.inf:
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
 
     kind = "gaussian"
 
@@ -57,8 +59,8 @@ class Speckle:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
+        if not 0 <= self.variance < math.inf:
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
 
     kind = "speckle"
 

@@ -172,6 +172,8 @@ def _parse_range(text: str) -> range:
 
 def _cmd_survey(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families:
+        raise UsageError("--families names no family")
     if args.n < 2:
         raise UsageError(f"--n must be >= 2, got {args.n}")
     try:

@@ -74,8 +74,12 @@ def dumps_key(key: ScrambleKey) -> str:
 
 
 def read_key_file(path) -> ScrambleKey:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_key(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise KeyFormatError(f"key file is not UTF-8 text: {exc}") from None
+    return loads_key(text)
 
 
 def write_key_file(path, key: ScrambleKey) -> None:

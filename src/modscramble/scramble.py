@@ -6,11 +6,14 @@ x is the row index, y is the column index, both zero-based, and the pixel at
 scrambling collapses t applications into a single matrix power, then performs
 one permutation pass, which is identical to t sequential passes.
 
-A pass moves pixels through a cached flat index (permutation_index). From
-_SPLIT_PIXELS pixels on it is split into one contiguous part per usable CPU,
-each extra part on a thread started and joined inside the call; NumPy
-releases the GIL while it copies, so the parts run at once. The grid a pass
-returns wraps the array the pass allocated, with no further copy.
+scramble and unscramble are one pass (_pass): scramble scatters each pixel
+to its destination, unscramble gathers it back, both through one cached flat
+index of M^t. Only the index of the last (matrix, n) is kept; it is writable
+and never leaves this module. From _SPLIT_PIXELS pixels on a pass is split
+into one contiguous part per usable CPU, each extra part on a thread started
+and joined inside the call; NumPy releases the GIL while it copies, so the
+parts run at once. The grid a pass returns wraps the array the pass
+allocated, with no further copy.
 """
 
 import os
@@ -125,9 +128,8 @@ def apply_point(vm: ValidatedMap, x: int, y: int) -> tuple[int, int]:
 #: Elements of each row block while an index is built; bounds its temporaries.
 _BLOCK = 1 << 15
 
-#: The index of the last (matrix, n) used, as ((matrix, n), index, read-only
-#: view of index), or None.
-_last_index: tuple[tuple[Entries, int], np.ndarray, np.ndarray] | None = None
+#: The index of the last (matrix, n) used, as ((matrix, n), index), or None.
+_last_index: tuple[tuple[Entries, int], np.ndarray] | None = None
 _index_lock = threading.Lock()
 
 
@@ -159,34 +161,22 @@ def _build_index(matrix: Entries, n: int) -> np.ndarray:
     return index
 
 
-def permutation_index(matrix: Entries, n: int) -> np.ndarray:
-    """Read-only flat destination index of one pass of matrix, entries in [0, n).
+def _cached_index(matrix: Entries, n: int) -> np.ndarray:
+    """The flat index of (matrix, n), built on a miss.
 
-    Pixel i = x*n + y moves to index[i]. The index of the last (matrix, n)
-    is kept, so a key that scrambles many images, or scrambles and then
-    unscrambles, builds it once. Only that one index is kept: the old one is
-    dropped before a new one is built, so at most one (8 bytes per pixel)
-    is held at any time.
-    """
-    return _cached_index(matrix, n)[2]
-
-
-def _cached_index(matrix: Entries, n: int) -> tuple:
-    """The cache entry of (matrix, n), built on a miss.
-
-    The passes use the writable index itself: np.take and np.put copy a
-    read-only index on every call (32 MiB at N = 2048). Callers outside this
-    module get the read-only view.
+    Pixel i = x*n + y moves to index[i]. Only the index of the last
+    (matrix, n) is kept, so a key that scrambles many images, or scrambles
+    and then unscrambles, builds it once; the old one is dropped before a
+    new one is built, so at most one (8 bytes per pixel) is held at any
+    time. The index is writable: np.take and np.put copy a read-only index
+    on every call (32 MiB at N = 2048).
     """
     global _last_index
     with _index_lock:
         if _last_index is None or _last_index[0] != (matrix, n):
             _last_index = None  # free the old index before the new one exists
-            index = _build_index(matrix, n)
-            view = index.view()
-            view.flags.writeable = False
-            _last_index = ((matrix, n), index, view)
-        return _last_index
+            _last_index = ((matrix, n), _build_index(matrix, n))
+        return _last_index[1]
 
 
 _RGB = np.dtype((np.void, 3))
@@ -197,11 +187,6 @@ def _flat(pixels: np.ndarray) -> np.ndarray:
     if pixels.ndim == 3:
         return pixels.reshape(-1, 3).view(_RGB).reshape(-1)
     return pixels.reshape(-1)
-
-
-def _as_grid(flat: np.ndarray, like: ImageGrid) -> ImageGrid:
-    """The grid of a pass result: flat, just allocated, is wrapped, not copied."""
-    return ImageGrid._own(flat.view(np.uint8).reshape(like.pixels.shape))
 
 
 #: Pixels from which a pass is split into one part per usable CPU: N >= 1449.
@@ -218,19 +203,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parts(total: int) -> list[tuple[int, int]]:
-    """Contiguous (lo, hi) parts of range(total): one below _SPLIT_PIXELS, else one per CPU."""
-    k = _usable_cpus() if total >= _SPLIT_PIXELS else 1
-    return [(total * i // k, total * (i + 1) // k) for i in range(k)]
+def _run_parts(work, total: int) -> None:
+    """Call work(lo, hi) over contiguous parts of range(total).
 
-
-def _run_parts(work, parts: list[tuple[int, int]]) -> None:
-    """Call work(lo, hi) for each part: the first here, each other on its own thread.
-
-    Every thread is joined before this returns, and the first exception
-    raised in any part is raised here. work must call no traced library
-    function: it runs NumPy copies only.
+    Below _SPLIT_PIXELS there is one part, else one per usable CPU: the
+    first runs here, each other on its own thread. Every thread is joined
+    before this returns, and the first exception raised in any part is
+    raised here. work must call no traced library function: it runs NumPy
+    copies only.
     """
+    k = _usable_cpus() if total >= _SPLIT_PIXELS else 1
+    parts = [(total * i // k, total * (i + 1) // k) for i in range(k)]
     errors = []
 
     def guarded(lo, hi):
@@ -276,7 +259,7 @@ def _scatter(src: np.ndarray, index: np.ndarray) -> np.ndarray:
         def part(lo, hi):
             np.put(out, index[lo:hi], writable[lo:hi], mode="clip")
 
-    _run_parts(part, _parts(src.size))
+    _run_parts(part, src.size)
     return out
 
 
@@ -292,25 +275,26 @@ def _gather(src: np.ndarray, index: np.ndarray) -> np.ndarray:
     def part(lo, hi):
         np.take(src, index[lo:hi], out=out[lo:hi], mode="clip")
 
-    _run_parts(part, _parts(src.size))
+    _run_parts(part, src.size)
     return out
 
 
-def _check_key(img: ImageGrid, key: ScrambleKey) -> ValidatedMap:
+def _pass(img: ImageGrid, key: ScrambleKey, move) -> ImageGrid:
+    """Run move (_scatter or _gather) over img's pixels and the index of M^t."""
     if img.side != key.n:
         raise GridShapeError(
             f"key modulus {key.n} does not match image side {img.side}"
         )
-    return key.validated()
+    matrix = power_mod(key.validated(), key.iterations)
+    if matrix == IDENTITY:
+        return img
+    out = move(_flat(img.pixels), _cached_index(matrix, key.n))
+    return ImageGrid._own(out.view(np.uint8).reshape(img.pixels.shape))
 
 
 def scramble(img: ImageGrid, key: ScrambleKey) -> ImageGrid:
     """Move every pixel t = key.iterations times: out[M^t (x, y)] = in[x, y]."""
-    vm = _check_key(img, key)
-    matrix = power_mod(vm, key.iterations)
-    if matrix == IDENTITY:
-        return img
-    return _as_grid(_scatter(_flat(img.pixels), _cached_index(matrix, key.n)[1]), img)
+    return _pass(img, key, _scatter)
 
 
 #: Largest modulus period() accepts. Trial division of N, and of q - 1 and
@@ -379,8 +363,4 @@ def unscramble(img: ImageGrid, key: ScrambleKey) -> ImageGrid:
     routes, iterating the map period - t more times or the inverse map t
     times, give the same permutation; plan_unscramble reports their costs.
     """
-    vm = _check_key(img, key)
-    matrix = power_mod(vm, key.iterations)
-    if matrix == IDENTITY:
-        return img
-    return _as_grid(_gather(_flat(img.pixels), _cached_index(matrix, key.n)[1]), img)
+    return _pass(img, key, _gather)

@@ -58,14 +58,22 @@ def term(family: SequenceFamily, n: int) -> int:
 
 
 def term_mod(family: SequenceFamily, n: int, modulus: int) -> int:
-    """term(family, n) mod modulus, computed in modular arithmetic (never overflows)."""
+    """term(family, n) mod modulus, in O(log n) steps of modular arithmetic.
+
+    term(n) = a*F(n-2) + b*F(n-1) for seeds (a, b) and the Fibonacci numbers
+    F, which fast doubling gives: F(2k) = F(k)*(2*F(k+1) - F(k)) and
+    F(2k+1) = F(k)^2 + F(k+1)^2.
+    """
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    a, b = (s % modulus for s in family.seeds)
+    a, b = family.seeds
     if n == 1:
-        return a
-    for _ in range(n - 2):
-        a, b = b, (a + b) % modulus
-    return b
+        return a % modulus
+    f, g = 0, 1  # F(k), F(k+1) mod modulus, k from the leading bits of n - 2
+    for bit in bin(n - 2)[2:]:
+        f, g = f * (2 * g - f) % modulus, (f * f + g * g) % modulus
+        if bit == "1":
+            f, g = g, (f + g) % modulus
+    return (a * f + b * g) % modulus

@@ -108,6 +108,12 @@ def test_bad_attack_parameters():
         SaltPepper(1.5)
     with pytest.raises(ValueError):
         GaussianNoise(0, -1)
+    for mean, variance in ((math.nan, 1), (math.inf, 1), (-math.inf, 1), (0, math.nan), (0, math.inf)):
+        with pytest.raises(ValueError):
+            GaussianNoise(mean, variance)
+    for variance in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Speckle(variance)
     with pytest.raises(ValueError):
         CompressSurrogate(0)
     with pytest.raises(ValueError):

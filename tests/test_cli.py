@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modscramble import ScrambleKey, build_map, make_arnold, make_flt
 from modscramble import SequenceFamily as F
@@ -8,7 +12,7 @@ from modscramble.cli import main
 from modscramble.keyfile import write_key_file
 from modscramble.pnm import load_pnm, save_pnm, write_pnm
 
-from conftest import random_gray
+from conftest import random_gray, random_rgb
 
 
 @pytest.fixture
@@ -207,6 +211,8 @@ def test_survey_cell_errors_keep_exit_zero(capsys, monkeypatch):
 def test_survey_usage_errors():
     assert main(["survey", "--families", "arnold", "--range", "1..3", "--n", "8"]) == 1
     assert main(["survey", "--families", "gft", "--range", "nope", "--n", "8"]) == 1
+    assert main(["survey", "--families", "", "--range", "1..3", "--n", "8"]) == 1
+    assert main(["survey", "--families", ",", "--range", "1..3", "--n", "8"]) == 1
 
 
 def test_enumerate_small_range_with_listing(capsys):
@@ -291,6 +297,12 @@ def test_attack_usage_errors(tmp_path, capsys):
     assert main(base + ["--attack", "crop"]) == 1  # missing --rect
     assert main(base + ["--attack", "crop", "--rect", "0,0,20,20"]) == 1  # out of bounds
     assert main(base + ["--attack", "salt-pepper", "--density", "2.0"]) == 1
+    for flag, value in (("--mean", "nan"), ("--mean", "inf"), ("--variance", "nan"),
+                        ("--variance", "inf")):
+        assert main(base + ["--attack", "gaussian", flag, value, "--format", "json"]) == 1
+    for value in ("nan", "inf"):
+        assert main(base + ["--attack", "speckle", "--variance", value, "--format", "json"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_input_file_is_a_data_error(workspace):
@@ -309,3 +321,87 @@ def test_cli_is_deterministic(workspace):
     assert main(argv + [str(out1)]) == 0
     assert main(argv + [str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------- argument fuzzer
+
+#: Values that argument handling must refuse or survive: non-finite floats,
+#: signs, integers past 64 bits, empty and malformed lists and ranges.
+_HOSTILE = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "1e308", "-1", "0", "1", "2", "3", "8", "256",
+    "4294967291", str(2**32 + 15), str(2**63), str(-2**63 - 1), str(10**30),
+    "", " ", ",", ",,", "..", "1..", "..3", "5..1", "abc", "0x10", "1.5", "1,2,3", "1,2,3,4,5",
+])
+_INT = st.integers(-40, 300).map(str) | _HOSTILE
+_FLOAT = st.floats().map(repr) | _HOSTILE  # repr gives nan, inf and -inf too
+_FORMAT = st.sampled_from(["text", "table", "json"]) | _HOSTILE
+# "@name" is a file in the fuzz directory; outputs never overwrite an input
+_IMAGE = st.sampled_from(["@gray.pgm", "@rgb.ppm", "@key8.json", "@missing.pgm", ""])
+_KEY = st.sampled_from(["@key8.json", "@key9.json", "@gray.pgm", "@missing.json", ""])
+_OUT = st.sampled_from(["@out.pgm", "@out.json", "@", "@no/such/dir.pgm", ""])
+_FAMILY = st.sampled_from(["raw", "arnold", "fq", "gat", "gft", "f11lt", "triangular"]) | _HOSTILE
+_FAMILIES = st.lists(st.sampled_from(["gft", "gat", "f11lt", "f32lt", "f31lt", "triangular", "arnold", ""]),
+                     max_size=3).map(",".join) | _HOSTILE
+_SMALL = st.integers(-3, 100) | st.sampled_from([2**70, -2**70])
+_RANGE = st.builds("{}..{}".format, _SMALL, _SMALL) | _HOSTILE
+_LIST4 = st.lists(st.integers(-3, 12) | st.sampled_from([2**64, -2**64]), min_size=4, max_size=4).map(
+    lambda v: ",".join(map(str, v))) | _HOSTILE
+
+#: Per subcommand: the arguments always given (strategies, in order) and the
+#: optional flags with their values (None for a flag that takes none). A
+#: survey's modulus stays small or above the period bound: a survey of
+#: hundreds of cells at a modulus near 2**32 takes seconds.
+_COMMANDS = {
+    "scramble": ([_IMAGE, _KEY, _OUT], {}),
+    "unscramble": ([_IMAGE, _KEY, _OUT], {"--verbose": None}),
+    "period": ([], {"--key": _KEY, "--family": _FAMILY, "--n": _INT, "--i": _INT, "--k": _INT,
+                    "--variant": _INT, "--entries": _LIST4, "--format": _FORMAT}),
+    "survey": ([st.just("--families"), _FAMILIES, st.just("--range"), _RANGE, st.just("--n"),
+                st.integers(-3, 4096).map(str) | _HOSTILE], {"--format": _FORMAT}),
+    "enumerate": ([st.just("--lo"), _SMALL.map(str) | _HOSTILE, st.just("--hi"),
+                   _SMALL.map(str) | _HOSTILE], {"--list": None, "--format": _FORMAT}),
+    "attack": ([_IMAGE, _KEY, st.just("--attack"),
+                st.sampled_from(["salt-pepper", "gaussian", "speckle", "crop", "compress"])],
+               {"--density": _FLOAT, "--mean": _FLOAT, "--variance": _FLOAT, "--rect": _LIST4,
+                "--fill": _INT, "--quality": _INT, "--seed": _INT, "--report": _OUT,
+                "--attacked-out": _OUT, "--recovered-out": _OUT, "--format": _FORMAT}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    given_args, flags = _COMMANDS[command]
+    argv = [command] + [draw(arg) for arg in given_args]
+    for flag, value in flags.items():
+        if draw(st.booleans()):
+            argv += [flag] if value is None else [flag, draw(value)]
+    return argv + draw(st.lists(_HOSTILE | st.sampled_from(["--n", "--format", "--list", "-"]),
+                                max_size=2))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_pnm(path / "gray.pgm", random_gray(8, seed=1))
+    save_pnm(path / "rgb.ppm", random_rgb(8, seed=2))
+    write_key_file(path / "key8.json", ScrambleKey(make_arnold(), 8, 3))
+    write_key_file(path / "key9.json", ScrambleKey(make_arnold(), 9, 3))
+    return path
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(argv=_argv())
+@settings(max_examples=150, deadline=None)
+def test_cli_argument_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
+    argv = [str(fuzz_dir / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in {0, 1, 2, 3}, (argv, rc)
+    formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+    if rc == 0 and formats and formats[-1] == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from modscramble import KeyFormatError, ModScrambleError, ScrambleKey, SequenceFamily, build_map
 from modscramble.cli import main
-from modscramble.keyfile import KEY_VERSION, dumps_key, key_from_dict, key_to_dict, loads_key
+from modscramble.keyfile import (
+    KEY_VERSION,
+    dumps_key,
+    key_from_dict,
+    key_to_dict,
+    loads_key,
+    read_key_file,
+)
 
 F = SequenceFamily
 
@@ -139,6 +146,16 @@ def test_unparseable_key_text_is_a_key_format_error(text, tmp_path, capsys):
     assert main(["period", "--key", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_a_key_file_that_is_not_utf8_is_a_key_format_error(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_bytes(b'{"version": 1, "family": "\xff"}')
+    with pytest.raises(KeyFormatError, match="not UTF-8"):
+        read_key_file(path)
+    assert main(["period", "--key", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 _JSON = st.recursive(

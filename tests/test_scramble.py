@@ -34,7 +34,7 @@ from modscramble import (
 )
 from modscramble import maps as maps_module
 from modscramble.analysis import standard_family_maps
-from modscramble.scramble import PERIOD_MODULUS_BOUND, permutation_index
+from modscramble.scramble import PERIOD_MODULUS_BOUND
 
 from conftest import (
     forward_route,
@@ -400,20 +400,17 @@ def test_interleaved_keys_give_correct_bytes():
 def test_index_built_in_row_blocks_matches_the_oracle(monkeypatch, block):
     module = importlib.import_module("modscramble.scramble")
     monkeypatch.setattr(module, "_BLOCK", block)  # one row, whole rows, a short last block
-    monkeypatch.setattr(module, "_last_index", None)
     vm = validate(make_flt(F.FIB32, 3), 13)
-    assert np.array_equal(permutation_index(vm.reduced, 13), _oracle_destinations(vm, 1))
+    assert np.array_equal(module._build_index(vm.reduced, 13), _oracle_destinations(vm, 1))
 
 
-def test_cached_index_is_read_only():
-    index = permutation_index((2, 1, 1, 1), 8)
-    assert not index.flags.writeable
-    with pytest.raises(ValueError):
-        index[0] = 1
-    assert permutation_index((2, 1, 1, 1), 8) is index
+def test_cached_index_is_reused():
+    cached_index = importlib.import_module("modscramble.scramble")._cached_index
+    assert cached_index((2, 1, 1, 1), 8) is cached_index((2, 1, 1, 1), 8)
 
 
 def test_at_most_one_index_is_held():
+    cached_index = importlib.import_module("modscramble.scramble")._cached_index
     rng = np.random.default_rng(3)
     alive = []
     for _ in range(12):
@@ -421,7 +418,7 @@ def test_at_most_one_index_is_held():
         key = ScrambleKey(_random_invertible(rng, n).map, n, int(rng.integers(1, 9)))
         img = random_gray(n, seed=n)
         unscramble(scramble(img, key), key)
-        alive.append(weakref.ref(permutation_index(power_mod(key.validated(), key.iterations), n)))
+        alive.append(weakref.ref(cached_index(power_mod(key.validated(), key.iterations), n)))
         assert sum(ref() is not None for ref in alive) <= 1
 
 
@@ -447,7 +444,7 @@ def test_threads_build_one_index_at_a_time(monkeypatch):
     def worker(offset):
         for step in range(15):
             pick = (offset + step) % len(wanted)
-            if not np.array_equal(permutation_index(*wanted[pick]), expected[pick]):
+            if not np.array_equal(module._cached_index(*wanted[pick]), expected[pick]):
                 errors.append((offset, step))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
@@ -506,8 +503,10 @@ def test_split_and_single_passes_give_equal_bytes(monkeypatch, make_image, parts
         assert single.tobytes() == split.tobytes()
 
 
-def test_an_exception_in_a_worker_part_reaches_the_caller():
+def test_an_exception_in_a_worker_part_reaches_the_caller(monkeypatch):
     module = importlib.import_module("modscramble.scramble")
+    monkeypatch.setattr(module, "_SPLIT_PIXELS", 10)
+    monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
     done = []
 
     def work(lo, hi):
@@ -517,7 +516,7 @@ def test_an_exception_in_a_worker_part_reaches_the_caller():
 
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="part 5..10 failed"):
-        module._run_parts(work, [(0, 5), (5, 10)])
+        module._run_parts(work, 10)
     assert done == [(0, 5)]
     assert threading.active_count() == before  # the worker was joined
 

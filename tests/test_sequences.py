@@ -104,6 +104,13 @@ def test_term_mod_handles_indices_far_past_overflow(n, m):
     assert term_mod(F.FIB11, n, m) == exact_term_unchecked(F.FIB11, n) % m
 
 
+@pytest.mark.parametrize("family", list(F))
+def test_term_mod_at_index_ten_to_the_eighteen(family):
+    # every series repeats with period 60 mod 10 (the Pisano period of 10)
+    for n in range(10**18, 10**18 + 60):
+        assert term_mod(family, n, 10) == term(family, (n - 1) % 60 + 1) % 10, n
+
+
 def test_lucas_fibonacci_sum_identity():
     # L_i = F11_i + F11_(i-2) for i >= 3, through the 64-bit bound
     for i in range(3, max_index(F.LUCAS) + 1):
