@@ -31,7 +31,7 @@ def main():
     ]
     print(f"fixed-map periods mod {args.n}:")
     for m in fixed:
-        print(f"  {m.label:12s} {period(validate(m, args.n)).period}")
+        print(f"  {m.label:12s} {period(validate(m, args.n))}")
 
     print(f"\nfamily survey mod {args.n}, parameters 1..16:")
     survey = period_survey(list(SURVEY_REFERENCE_128), range(1, 17), args.n)

@@ -33,7 +33,6 @@ from .maps import (
 )
 from .scramble import (
     ImageGrid,
-    PeriodReport,
     RoutePlan,
     ScrambleKey,
     apply_point,

@@ -165,7 +165,7 @@ class EquivalenceReport:
 
 def orbit_signature(vm: ValidatedMap, reference: ImageGrid) -> OrbitSignature:
     """All states scramble(reference, t) for 1 <= t < period, in visit order."""
-    p = period(vm).period
+    p = period(vm)
     states = []
     key = ScrambleKey(vm.map, vm.n, 1)
     grid = reference
@@ -327,7 +327,7 @@ def period_survey(families: list[str], params, n: int) -> SurveyReport:
         cells = []
         for p in params:
             try:
-                cells.append(period(validate(build(p), n)).period)
+                cells.append(period(validate(build(p), n)))
             except (InvalidScramblerError, ValueError) as exc:
                 cells.append(f"ERROR: {exc}")
         rows.append((fam, tuple(cells)))
@@ -364,7 +364,7 @@ def equivalence_classes(
     classes: list[tuple[_CyclicGroup, list[str]]] = []
     for m in maps:
         vm = validate(m, n)
-        order = period(vm).period
+        order = period(vm)
         for group, labels in classes:
             if group.generated_by(vm, order):
                 labels.append(m.label)

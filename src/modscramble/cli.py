@@ -145,15 +145,11 @@ def _cmd_unscramble(args) -> int:
 
 def _cmd_period(args) -> int:
     key = _key_from_args(args)
-    report = period(key.validated())
+    p = period(key.validated())
     if args.format == "json":
-        print(json.dumps({
-            "label": report.label,
-            "n": report.n,
-            "period": report.period,
-        }))
+        print(json.dumps({"label": key.map.label, "n": key.n, "period": p}))
     else:
-        print(f"{report.label} mod {report.n}: period {report.period}")
+        print(f"{key.map.label} mod {key.n}: period {p}")
     return 0
 
 

@@ -1,16 +1,28 @@
 """Exception hierarchy, split by CLI exit-code category."""
 
+import math
+
 #: Most characters of an untrusted value that an error message shows.
 SHOWN_CHARS = 80
 
 
-def clip(text: str) -> str:
-    """text for an error message, cut to SHOWN_CHARS characters with its length noted.
+def clip(value) -> str:
+    """value for an error message: its repr, or an exception's own text, cut
+    to SHOWN_CHARS characters with its length noted.
 
     Key files and images are untrusted input; a message that echoes a value
     from them (a field name, a family, a magic number) shows it through here,
-    so a huge value cannot make a huge message.
+    so a huge value cannot make a huge message. An int too long for repr (past
+    the int-to-str digit limit) is shown by its digit count.
     """
+    try:
+        text = str(value) if isinstance(value, BaseException) else repr(value)
+    except ValueError:  # an int past the digit limit, or a container holding one
+        if not isinstance(value, int):
+            return f"<{type(value).__name__} holding an int past the digit limit>"
+        digits = int(abs(value).bit_length() * math.log10(2)) + 1
+        digits -= abs(value) < 10 ** (digits - 1)
+        return f"<int of {digits} digits>"
     if len(text) <= SHOWN_CHARS:
         return text
     return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"

@@ -38,13 +38,13 @@ def key_from_dict(doc: dict) -> ScrambleKey:
         raise KeyFormatError("key document must be a JSON object")
     unknown = set(doc) - _FIELDS
     if unknown:
-        raise KeyFormatError(f"unknown key fields: {clip(repr(sorted(unknown)))}")
+        raise KeyFormatError(f"unknown key fields: {clip(sorted(unknown))}")
     missing = _FIELDS - set(doc)
     if missing:
         raise KeyFormatError(f"missing key fields: {sorted(missing)}")
     if type(doc["version"]) is not int or doc["version"] != KEY_VERSION:
         raise KeyFormatError(
-            f"unsupported key version {clip(repr(doc['version']))}; "
+            f"unsupported key version {clip(doc['version'])}; "
             f"this build reads version {KEY_VERSION}"
         )
     if not isinstance(doc["params"], dict):
@@ -52,9 +52,9 @@ def key_from_dict(doc: dict) -> ScrambleKey:
     n = doc["n"]
     t = doc["iterations"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise KeyFormatError(f"n must be an integer >= 2, got {clip(repr(n))}")
+        raise KeyFormatError(f"n must be an integer >= 2, got {clip(n)}")
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise KeyFormatError(f"iterations must be an integer >= 0, got {clip(repr(t))}")
+        raise KeyFormatError(f"iterations must be an integer >= 0, got {clip(t)}")
     m = build_map(doc["family"], doc["params"])
     return ScrambleKey(m, n, t)
 

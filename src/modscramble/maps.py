@@ -104,16 +104,11 @@ def make_gft(i: int) -> TransformMap:
     return TransformMap(entries, "gft", {"i": i}, f"GFT_{i}")
 
 
-_FLT_TAGS = {
-    SequenceFamily.FIB11: "f11lt",
-    SequenceFamily.FIB32: "f32lt",
-    SequenceFamily.FIB31: "f31lt",
-}
-
-_FLT_NAMES = {
-    SequenceFamily.FIB11: "F(11)LT",
-    SequenceFamily.FIB32: "F(32)LT",
-    SequenceFamily.FIB31: "F(31)LT",
+#: Family tag and label stem of each Fibonacci-Lucas series.
+_FLT = {
+    SequenceFamily.FIB11: ("f11lt", "F(11)LT"),
+    SequenceFamily.FIB32: ("f32lt", "F(32)LT"),
+    SequenceFamily.FIB31: ("f31lt", "F(31)LT"),
 }
 
 
@@ -133,9 +128,8 @@ def make_flt(series: SequenceFamily, i: int) -> TransformMap:
     warning = None
     if series is SequenceFamily.FIB11 and i == 3:
         warning = "index 3 of the 1,1-seeded series is excluded by convention"
-    return TransformMap(
-        entries, _FLT_TAGS[series], {"i": i}, f"{_FLT_NAMES[series]}_{i}", warning
-    )
+    tag, stem = _FLT[series]
+    return TransformMap(entries, tag, {"i": i}, f"{stem}_{i}", warning)
 
 
 _TRIANGULAR_FORMS = {
@@ -230,7 +224,7 @@ def power_mod(vm: ValidatedMap, e: int) -> Entries:
 def build_map(family: str, params: dict) -> TransformMap:
     """Single registry from (family tag, params) to a map; shared by key files and CLI."""
     spare = dict(params)
-    shown = clip(repr(family))
+    shown = clip(family)
 
     def take(name, default=None):
         if name in spare:
@@ -243,7 +237,7 @@ def build_map(family: str, params: dict) -> TransformMap:
         # exact int only: a float, string or bool is rejected, never coerced
         value = take(name, default)
         if type(value) is not int:
-            raise KeyFormatError(f"parameter {name!r} must be an integer, got {clip(repr(value))}")
+            raise KeyFormatError(f"parameter {name!r} must be an integer, got {clip(value)}")
         return value
 
     try:
@@ -255,9 +249,8 @@ def build_map(family: str, params: dict) -> TransformMap:
             m = make_fibonacci_q()
         elif family == "gft":
             m = make_gft(take_int("i"))
-        elif family in ("f11lt", "f32lt", "f31lt"):
-            series = {v: k for k, v in _FLT_TAGS.items()}[family]
-            m = make_flt(series, take_int("i"))
+        elif flt := [series for series, (tag, _) in _FLT.items() if tag == family]:
+            m = make_flt(flt[0], take_int("i"))
         elif family == "triangular":
             m = make_triangular(take_int("k"), take_int("variant", 0))
         elif family == "raw":
@@ -272,9 +265,9 @@ def build_map(family: str, params: dict) -> TransformMap:
         else:
             raise KeyFormatError(f"unknown map family {shown}")
     except (ValueError, TypeError) as exc:
-        raise KeyFormatError(f"bad parameters for family {shown}: {clip(str(exc))}") from exc
+        raise KeyFormatError(f"bad parameters for family {shown}: {clip(exc)}") from exc
     if spare:
         raise KeyFormatError(
-            f"unknown parameters for family {shown}: {clip(repr(sorted(spare)))}"
+            f"unknown parameters for family {shown}: {clip(sorted(spare))}"
         )
     return m

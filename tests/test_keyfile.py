@@ -229,3 +229,23 @@ def test_errors_show_a_bounded_part_of_a_huge_value(doc, tmp_path, capsys):
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert len(out.err.encode()) < 300
+
+
+@pytest.mark.parametrize(
+    "doc,shown",
+    [
+        (_doc(iterations=-(10**5000)), "<int of 5001 digits>"),
+        (_doc(n=-(10**5000)), "<int of 5001 digits>"),
+        (_doc(version=10**5000), "<int of 5001 digits>"),
+        (_doc(family=10**5000), "<int of 5001 digits>"),
+        ({**_doc(), 10**5000: 0}, "<list holding an int past the digit limit>"),
+    ],
+    ids=["iterations", "n", "version", "family", "field"],
+)
+def test_an_int_past_the_digit_limit_is_a_key_format_error(doc, shown):
+    # JSON cannot carry these (loads_key refuses them); a dict from code can
+    with pytest.raises(KeyFormatError) as err:
+        key_from_dict(doc)
+    message = str(err.value)
+    assert "\n" not in message and len(message.encode()) < 300
+    assert shown in message

@@ -33,7 +33,7 @@ from modscramble import (
     validate,
 )
 from modscramble import maps as maps_module
-from modscramble.analysis import standard_family_maps
+from modscramble.analysis import period_survey, standard_family_maps
 from modscramble.scramble import PERIOD_MODULUS_BOUND
 
 from conftest import (
@@ -88,7 +88,7 @@ GOLDEN_3X = [
 def test_three_iterations_match_the_golden_matrices(reference_a, m, expected, expected_period):
     out = scramble(reference_a, ScrambleKey(m, 3, 3))
     assert out.pixels.tolist() == expected
-    assert period(validate(m, 3)).period == expected_period
+    assert period(validate(m, 3)) == expected_period
 
 
 def test_single_arnold_iteration_hand_derived(reference_a):
@@ -155,19 +155,19 @@ def test_rgb_pixels_move_as_whole_units():
     ],
 )
 def test_reference_periods(m, n, expected):
-    assert period(validate(m, n)).period == expected
+    assert period(validate(m, n)) == expected
 
 
 def test_period_agrees_with_the_permutation_oracle():
     for m in (make_arnold(), make_fibonacci_q(), make_flt(F.FIB32, 4)):
         for n in (5, 12, 32):
             vm = validate(m, n)
-            assert period(vm).period == permutation_order(vm)
+            assert period(vm) == permutation_order(vm)
 
 
 def test_default_cap_never_fires_for_family_maps():
     for m in standard_family_maps(1, 8):
-        p = period(validate(m, 16)).period
+        p = period(validate(m, 16))
         assert 1 <= p < 6 * 16 * 16
 
 
@@ -192,7 +192,7 @@ def test_period_agrees_with_the_iterated_and_cycle_oracles():
     rng = np.random.default_rng(2012)
     for n in range(2, 65):
         for vm in _valid_maps(n, rng):
-            p = period(vm).period
+            p = period(vm)
             assert p == iterated_order(vm), (vm.label, n)
             if n <= 16:
                 assert p == permutation_order(vm), (vm.label, n)
@@ -225,7 +225,7 @@ def test_long_periods_are_exact_and_cost_few_multiplications(monkeypatch, entrie
         return real(x, y, m)
 
     monkeypatch.setattr(maps_module, "mat_mul_mod", counted)
-    p = period(vm).period
+    p = period(vm)
     assert calls < 2000
     monkeypatch.undo()
     assert p == expected
@@ -236,9 +236,22 @@ def test_long_periods_are_exact_and_cost_few_multiplications(monkeypatch, entrie
 
 def test_period_at_the_modulus_bound():
     assert PERIOD_MODULUS_BOUND == 2**32
-    assert period(validate(make_arnold(), 2**32)).period == 3221225472
+    assert period(validate(make_arnold(), 2**32)) == 3221225472
     with pytest.raises(WorkBoundError):
         period(validate(make_arnold(), 2**32 + 1))
+
+
+def test_a_survey_factors_its_modulus_once():
+    primes = importlib.import_module("modscramble.scramble")._primes
+    primes.cache_clear()
+    with pytest.raises(WorkBoundError):
+        period(validate(make_arnold(), 2**32 + 1))
+    assert primes.cache_info().misses == 0  # the bound is checked before any factoring
+    # n is prime, so a survey needs the primes of n, n - 1 and n + 1 only
+    survey = period_survey(["gft", "f11lt"], range(1, 51), 4294967291)
+    assert all(type(p) is int for _, cells in survey.rows for p in cells)
+    assert primes.cache_info().misses == 3
+    primes.cache_clear()
 
 
 # -------------------------------------------------------------- unscrambling
@@ -279,7 +292,7 @@ def test_plan_picks_the_cheaper_route():
 
 def test_iterations_past_the_period_wrap():
     img = random_gray(16, seed=8)
-    p = period(validate(make_arnold(), 16)).period
+    p = period(validate(make_arnold(), 16))
     a = scramble(img, ScrambleKey(make_arnold(), 16, 3))
     b = scramble(img, ScrambleKey(make_arnold(), 16, 3 + 2 * p))
     assert a == b

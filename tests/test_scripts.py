@@ -29,3 +29,13 @@ def test_equivalence_report_rejects_bad_params(params, message):
     errors = [line for line in run.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0], run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_readme_library_block_prints_its_comment(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library in one minute", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    printed = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == 1
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == printed[0].rsplit("# ", 1)[1] + "\n"
