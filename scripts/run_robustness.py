@@ -20,8 +20,10 @@ from modscramble import (
     Crop,
     GaussianNoise,
     ImageGrid,
+    KeyFormatError,
     SaltPepper,
     ScrambleKey,
+    SequenceOverflowError,
     Speckle,
     build_map,
     recovery_experiment,
@@ -58,16 +60,23 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=128)
     parser.add_argument("--iterations", type=int, default=20)
-    parser.add_argument("--family", default="f11lt")
+    parser.add_argument("--family", choices=["gft", "f11lt", "f32lt", "f31lt"], default="f11lt")
     parser.add_argument("--index", type=int, default=6)
     parser.add_argument("--out", default="robustness_out")
     args = parser.parse_args()
+    if args.n < 2:
+        parser.error(f"--n must be >= 2, got {args.n}")
+    if args.iterations < 0:
+        parser.error(f"--iterations must be >= 0, got {args.iterations}")
+    try:
+        key = ScrambleKey(build_map(args.family, {"i": args.index}), args.n, args.iterations)
+    except (KeyFormatError, SequenceOverflowError) as exc:
+        parser.error(f"--index {args.index}: {exc}")
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     img = synthetic_image(args.n)
-    key = ScrambleKey(build_map(args.family, {"i": args.index}), args.n, args.iterations)
     save_pnm(out / "original.pgm", img)
     save_pnm(out / "scrambled.pgm", scramble(img, key))
 

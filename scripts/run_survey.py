@@ -12,6 +12,7 @@ import sys
 
 from modscramble import make_arnold, make_fibonacci_q, make_flt, make_generalized_arnold, make_gft, period, period_survey, validate
 from modscramble.analysis import SURVEY_REFERENCE_128
+from modscramble.scramble import PERIOD_MODULUS_BOUND
 from modscramble.sequences import SequenceFamily as F
 
 
@@ -19,6 +20,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=128, help="modulus for the main survey")
     args = parser.parse_args()
+    if not 2 <= args.n <= PERIOD_MODULUS_BOUND:
+        parser.error(
+            f"--n must be between 2 and {PERIOD_MODULUS_BOUND}, the period bound; got {args.n}"
+        )
 
     fixed = [
         make_arnold(),

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IntegerOverflowError, InvalidScramblerError, WorkBoundError
+from .errors import IntegerOverflowError, InvalidScramblerError, SequenceOverflowError, WorkBoundError
 from .maps import (
     IDENTITY,
     Entries,
@@ -62,8 +62,6 @@ SURVEY_CELL_BOUND = 10**5
 class OrbitSignature:
     """Grid states visited through one full period, excluding the final return."""
 
-    label: str
-    n: int
     states: tuple[ImageGrid, ...]
 
     @property
@@ -172,7 +170,7 @@ def orbit_signature(vm: ValidatedMap, reference: ImageGrid) -> OrbitSignature:
     for _ in range(p - 1):
         grid = scramble(grid, key)
         states.append(grid)
-    return OrbitSignature(vm.label, vm.n, tuple(states))
+    return OrbitSignature(tuple(states))
 
 
 def _tells_matrices_apart(reference: ImageGrid, n: int) -> bool:
@@ -297,10 +295,12 @@ SURVEY_FAMILIES = {
 def period_survey(families: list[str], params, n: int) -> SurveyReport:
     """Period of every (family, parameter) pair mod n; per-cell failures recorded.
 
-    params is any iterable of indices. A survey of more than SURVEY_CELL_BOUND
-    parameters or cells raises WorkBoundError before any cell is computed: a
-    sized collection such as a range is checked by len() and never read past
-    the bound, an unsized one is read up to SURVEY_CELL_BOUND + 1 items.
+    params is any iterable of indices, read up to SURVEY_CELL_BOUND + 1
+    items: a survey of more than SURVEY_CELL_BOUND parameters or cells
+    raises WorkBoundError before any cell is computed. A failure that
+    depends on one parameter (a map not invertible mod n, a parameter out
+    of the family's domain, family terms past 64 bits) is recorded in that
+    cell; N above the period bound fails every cell and raises.
     """
     unknown = [f for f in families if f not in SURVEY_FAMILIES]
     if unknown:
@@ -308,19 +308,11 @@ def period_survey(families: list[str], params, n: int) -> SurveyReport:
             f"not a surveyable family: {unknown} (choose from {sorted(SURVEY_FAMILIES)})"
         )
     bound = f"above the cell bound of {SURVEY_CELL_BOUND}"
-    if hasattr(params, "__len__"):
-        try:
-            count = len(params)
-        except OverflowError:  # a range longer than sys.maxsize
-            raise WorkBoundError(f"survey of more than sys.maxsize parameters is {bound}") from None
-    else:
-        params = tuple(itertools.islice(params, SURVEY_CELL_BOUND + 1))
-        count = len(params)
-    if count > SURVEY_CELL_BOUND:
+    params = tuple(itertools.islice(params, SURVEY_CELL_BOUND + 1))
+    if len(params) > SURVEY_CELL_BOUND:
         raise WorkBoundError(f"survey of more than {SURVEY_CELL_BOUND} parameters is {bound}")
-    if len(families) * count > SURVEY_CELL_BOUND:
-        raise WorkBoundError(f"survey of {len(families) * count} cells is {bound}")
-    params = tuple(params)
+    if len(families) * len(params) > SURVEY_CELL_BOUND:
+        raise WorkBoundError(f"survey of {len(families) * len(params)} cells is {bound}")
     rows = []
     for fam in families:
         build = SURVEY_FAMILIES[fam]
@@ -328,7 +320,7 @@ def period_survey(families: list[str], params, n: int) -> SurveyReport:
         for p in params:
             try:
                 cells.append(period(validate(build(p), n)))
-            except (InvalidScramblerError, ValueError) as exc:
+            except (InvalidScramblerError, SequenceOverflowError, ValueError) as exc:
                 cells.append(f"ERROR: {exc}")
         rows.append((fam, tuple(cells)))
     return SurveyReport(n, params, tuple(rows))

@@ -36,9 +36,9 @@ def key_to_dict(key: ScrambleKey) -> dict:
 def key_from_dict(doc: dict) -> ScrambleKey:
     if not isinstance(doc, dict):
         raise KeyFormatError("key document must be a JSON object")
-    unknown = set(doc) - _FIELDS
+    unknown = [name for name in doc if name not in _FIELDS]
     if unknown:
-        raise KeyFormatError(f"unknown key fields: {clip(sorted(unknown))}")
+        raise KeyFormatError(f"unknown key fields: {clip(unknown)}")
     missing = _FIELDS - set(doc)
     if missing:
         raise KeyFormatError(f"missing key fields: {sorted(missing)}")

@@ -267,7 +267,5 @@ def build_map(family: str, params: dict) -> TransformMap:
     except (ValueError, TypeError) as exc:
         raise KeyFormatError(f"bad parameters for family {shown}: {clip(exc)}") from exc
     if spare:
-        raise KeyFormatError(
-            f"unknown parameters for family {shown}: {clip(sorted(spare))}"
-        )
+        raise KeyFormatError(f"unknown parameters for family {shown}: {clip(list(spare))}")
     return m

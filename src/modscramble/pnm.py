@@ -59,7 +59,7 @@ def read_pnm(data: bytes) -> ImageGrid:
             if not tok.isdigit():  # ASCII digits only: int() also takes b"+5" and b"4_0"
                 raise ValueError(tok)
             fields.append(int(tok))
-        except (StopIteration, ValueError):
+        except ValueError:
             raise PnmFormatError(f"malformed header: bad {name}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:

@@ -1,9 +1,10 @@
 """Integer recurrences (Fibonacci, Lucas, and seeded variants) behind every map family.
 
 All sequences are 1-indexed and satisfy term(n) = term(n-1) + term(n-2) for
-n >= 3. Exact terms are computed with checked 64-bit arithmetic so that
-downstream determinant identities stay exact; use :func:`term_mod` for
-arbitrarily large indices.
+n >= 3. Exact terms are refused past the signed 64-bit range so that
+downstream determinant identities stay exact; :func:`term_mod` reduces
+modulo its modulus for arbitrarily large indices, and both use one
+fast-doubling kernel.
 """
 
 import enum
@@ -44,17 +45,14 @@ def max_index(family: SequenceFamily) -> int:
 
 
 def term(family: SequenceFamily, n: int) -> int:
-    """Exact n-th term (1-indexed); raises SequenceOverflowError past 64 bits."""
-    if n < 1:
-        raise ValueError(f"sequence index must be >= 1, got {n}")
+    """Exact n-th term (1-indexed); raises SequenceOverflowError past 64 bits.
+
+    Every term up to max_index is below 2^63, so it equals its residue mod
+    2^63 and comes from term_mod's fast doubling.
+    """
     if n > max_index(family):
         raise SequenceOverflowError(family.name, n, max_index(family))
-    a, b = family.seeds
-    if n == 1:
-        return a
-    for _ in range(n - 2):
-        a, b = b, a + b
-    return b
+    return term_mod(family, n, 1 << 63)
 
 
 def term_mod(family: SequenceFamily, n: int, modulus: int) -> int:

@@ -362,30 +362,26 @@ def test_empty_range_gives_an_empty_table():
     assert report.error_count == 0
 
 
-class SizedOnly:
-    """A parameter collection that has a size but must never be iterated."""
-
-    def __init__(self, size):
-        self.size = size
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        raise AssertionError("the parameters were iterated")
+class FirstCell(Exception):
+    """Raised in place of the first period a survey computes."""
 
 
-def test_survey_cell_bound_is_checked_before_the_parameters_are_read():
+def test_survey_cell_bound_is_checked_before_the_parameters_are_read(monkeypatch):
+    def first_cell(vm):
+        raise FirstCell
+
+    monkeypatch.setattr(analysis, "period", first_cell)
     families = ["gft", "gat"]
     half = analysis.SURVEY_CELL_BOUND // 2
-    with pytest.raises(WorkBoundError, match="cell bound"):
-        period_survey(families, SizedOnly(half + 1), 8)
-    with pytest.raises(WorkBoundError, match="more than sys.maxsize parameters .* cell bound"):
-        period_survey(["gft"], range(1, 10**20), 8)
-    with pytest.raises(WorkBoundError, match="cell bound"):
-        period_survey(["gft"], range(1, 10**18), 8)
-    with pytest.raises(AssertionError, match="iterated"):  # at the bound: accepted
-        period_survey(families, SizedOnly(half), 8)
+    for refused in (
+        lambda: period_survey(families, range(1, half + 2), 8),
+        lambda: period_survey(["gft"], range(1, 10**20), 8),
+        lambda: period_survey(["gft"], range(1, 10**18), 8),
+    ):
+        with pytest.raises(WorkBoundError, match="cell bound"):
+            refused()
+    with pytest.raises(FirstCell):  # at the bound: accepted
+        period_survey(families, range(1, half + 1), 8)
 
 
 def test_survey_takes_unsized_parameters_up_to_the_bound():
@@ -423,6 +419,18 @@ def test_survey_isolates_per_cell_failures(monkeypatch):
     assert isinstance(cells[0], int) and isinstance(cells[2], int)
     assert isinstance(cells[1], str) and "not invertible" in cells[1]
     assert report.error_count == 1
+
+
+def test_survey_records_family_terms_past_64_bits_in_their_cells():
+    report = period_survey(["gft", "gat"], range(88, 93), 128)
+    assert report.error_count == 2
+    for fam, cells in report.rows:
+        build = analysis.SURVEY_FAMILIES[fam]
+        for p, cell in zip(report.params, cells):
+            if fam == "gft" and p >= 91:  # gft 91 needs term 94 of FIB01; 93 is the last
+                assert isinstance(cell, str) and "exceeds the 64-bit signed range" in cell
+            else:
+                assert type(cell) is int and cell == period(validate(build(p), 128))
 
 
 def test_survey_text_and_json_renderings():

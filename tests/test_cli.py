@@ -208,6 +208,17 @@ def test_survey_cell_errors_keep_exit_zero(capsys, monkeypatch):
     assert errors[0] is None and errors[2] is None and "not invertible" in errors[1]
 
 
+def test_survey_cell_past_64_bits_keeps_exit_zero(capsys):
+    argv = ["survey", "--families", "gft,gat", "--range", "88..92", "--n", "128", "--format", "json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: 2 cell(s) failed\n"
+    gft, gat = json.loads(captured.out)["rows"]
+    assert gft["errors"][:3] == [None] * 3 and all("64-bit" in e for e in gft["errors"][3:])
+    assert gft["periods"][3:] == [None, None] and None not in gft["periods"][:3]
+    assert gat["errors"] == [None] * 5 and None not in gat["periods"]
+
+
 def test_survey_usage_errors():
     assert main(["survey", "--families", "arnold", "--range", "1..3", "--n", "8"]) == 1
     assert main(["survey", "--families", "gft", "--range", "nope", "--n", "8"]) == 1

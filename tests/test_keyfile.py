@@ -249,3 +249,20 @@ def test_an_int_past_the_digit_limit_is_a_key_format_error(doc, shown):
     message = str(err.value)
     assert "\n" not in message and len(message.encode()) < 300
     assert shown in message
+
+
+@pytest.mark.parametrize(
+    "call,shown",
+    [
+        (lambda: key_from_dict({**_doc(), 5: 0, "x": 1}), "[5, 'x']"),
+        (lambda: build_map("gft", {"i": 1, 5: 0, "y": 2}), "[5, 'y']"),
+    ],
+    ids=["key-fields", "map-params"],
+)
+def test_unknown_names_of_mixed_types_are_echoed_in_input_order(call, shown):
+    # a dict from code can mix str and int names, which do not sort together
+    with pytest.raises(KeyFormatError) as err:
+        call()
+    message = str(err.value)
+    assert "\n" not in message and len(message.encode()) < 300
+    assert message.endswith(shown)

@@ -8,6 +8,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def assert_usage_error(run, message):
+    assert run.returncode == 2
+    assert run.stdout == ""
+    errors = [line for line in run.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0], run.stderr
+    assert "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize(
     "params,message",
     [
@@ -19,16 +35,38 @@ ROOT = Path(__file__).resolve().parent.parent
     ids=["not-integers", "overflow", "empty", "below-one"],
 )
 def test_equivalence_report_rejects_bad_params(params, message):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_equivalence_report.py"), "--params", params],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert run.returncode == 2
-    assert run.stdout == ""
-    errors = [line for line in run.stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1 and message in errors[0], run.stderr
-    assert "Traceback" not in run.stderr
+    assert_usage_error(run_script("run_equivalence_report.py", "--params", params), message)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--n", "1"], "--n must be between 2 and 4294967296"),
+        (["--n", "5000000000"], "the period bound; got 5000000000"),
+    ],
+    ids=["n-below-two", "n-above-bound"],
+)
+def test_survey_script_rejects_bad_arguments(args, message):
+    assert_usage_error(run_script("run_survey.py", *args), message)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--family", "arnold"], "argument --family: invalid choice: 'arnold'"),
+        (["--family", "gat"], "argument --family: invalid choice: 'gat'"),
+        (["--family", "raw"], "argument --family: invalid choice: 'raw'"),
+        (["--n", "1"], "--n must be >= 2, got 1"),
+        (["--index", "0"], "--index 0: bad parameters for family 'f11lt'"),
+        (["--index", "200"], "--index 200: term 200 of FIB11 exceeds the 64-bit"),
+        (["--iterations", "-1"], "--iterations must be >= 0, got -1"),
+    ],
+    ids=["arnold", "gat", "raw", "n-below-two", "index-zero", "index-overflow", "iterations"],
+)
+def test_robustness_script_rejects_bad_arguments(args, message, tmp_path):
+    out = tmp_path / "out"
+    assert_usage_error(run_script("run_robustness.py", *args, "--out", str(out)), message)
+    assert not out.exists()
 
 
 def test_readme_library_block_prints_its_comment(capsys):
