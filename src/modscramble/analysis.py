@@ -2,9 +2,11 @@
 
 Two maps are pattern-equivalent when iterating them from the same reference
 grid visits exactly the same set of grid states; a message scrambled by one
-can then be recovered by iterating the other. When the reference has side n
-and pairwise-distinct pixels, the state set of a map A is its cyclic group
-<A> without the identity, so equivalence is decided on 2x2 matrices: equal
+can then be recovered by iterating the other. The reference must have side
+n. When its pixels at (1, 0) and (0, 1) each occur once, a state A^t *
+reference shows where those two pixels went, which are the columns of A^t
+mod n; the state set of a map A then stands for its cyclic group <A>
+without the identity, and equivalence is decided on 2x2 matrices: equal
 orders and membership by baby-step giant-step. Any other reference is
 scrambled through the orbit, state by state. Surveys and the unimodular
 enumeration are the desk-scale reproductions of the reference period tables.
@@ -18,7 +20,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IntegerOverflowError, InvalidScramblerError, SequenceOverflowError, WorkBoundError
+from .errors import (
+    GridShapeError,
+    IntegerOverflowError,
+    InvalidScramblerError,
+    SequenceOverflowError,
+    WorkBoundError,
+)
 from .maps import (
     IDENTITY,
     Entries,
@@ -34,7 +42,7 @@ from .maps import (
     power_mod,
     validate,
 )
-from .scramble import ImageGrid, ScrambleKey, period, scramble
+from .scramble import ImageGrid, ScrambleKey, _flat, period, scramble
 from .sequences import INT64_MAX, SequenceFamily
 
 #: Published reference count of unimodular 2x2 matrices with entries in 0..99.
@@ -173,23 +181,16 @@ def orbit_signature(vm: ValidatedMap, reference: ImageGrid) -> OrbitSignature:
     return OrbitSignature(tuple(states))
 
 
-def _tells_matrices_apart(reference: ImageGrid, n: int) -> bool:
+def _tells_matrices_apart(reference: ImageGrid) -> bool:
     """True when each state A^t * reference fixes the matrix A^t mod n.
 
-    That holds when the reference has side n and pairwise-distinct pixels:
-    a state then fixes the pixel permutation, and the permutation fixes A^t
-    through the images of (1, 0) and (0, 1). Each pixel is packed into one
-    uint32, and the sorted keys must have no equal neighbours.
+    That holds when the reference pixels at (1, 0) and (0, 1) each occur
+    once: a state then shows where each went, and those two points are the
+    columns of A^t. Only those two pixels are compared; the others may repeat.
+    A 1 x 1 reference has no such pixels.
     """
-    if reference.side != n:
-        return False
-    flat = reference.pixels.reshape(n * n, -1)
-    keys = np.zeros(n * n, dtype=np.uint32)
-    for channel in flat.T:
-        keys <<= 8
-        keys |= channel
-    keys.sort()
-    return not np.any(keys[1:] == keys[:-1])
+    side, flat = reference.side, _flat(reference.pixels)
+    return side > 1 and all(np.count_nonzero(flat == flat[i]) == 1 for i in (1, side))
 
 
 class _CyclicGroup:
@@ -229,7 +230,8 @@ class _CyclicGroup:
 def pattern_equivalent(a: ValidatedMap, b: ValidatedMap, reference: ImageGrid) -> bool:
     """True when both maps visit the same state set from the reference grid.
 
-    On a reference of side n with pairwise-distinct pixels this is
+    Raises GridShapeError when the reference side is not the maps' modulus.
+    When the reference pixels at (1, 0) and (0, 1) each occur once this is
     <a> = <b>, decided on matrices; otherwise both orbits are scrambled.
     """
     if a.n != b.n:
@@ -300,8 +302,11 @@ def period_survey(families: list[str], params, n: int) -> SurveyReport:
     raises WorkBoundError before any cell is computed. A failure that
     depends on one parameter (a map not invertible mod n, a parameter out
     of the family's domain, family terms past 64 bits) is recorded in that
-    cell; N above the period bound fails every cell and raises.
+    cell. N below 2 would fail every cell and raises ValueError before any
+    cell is computed; N above the period bound fails every cell and raises.
     """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
     unknown = [f for f in families if f not in SURVEY_FAMILIES]
     if unknown:
         raise ValueError(
@@ -341,13 +346,16 @@ def equivalence_classes(
     """Group maps by identical orbit state set on the reference grid.
 
     Classes keep the order in which their first member appears, and each
-    class keeps its members in input order. On a reference of side n with
-    pairwise-distinct pixels, a map joins the first class whose
-    representative generates the same cyclic group, found by order and
+    class keeps its members in input order. A reference whose side is not
+    n raises GridShapeError before any map is read. When the reference
+    pixels at (1, 0) and (0, 1) each occur once, a map joins the first class
+    whose representative generates the same cyclic group, found by order and
     baby-step giant-step; no image is scrambled. Any other reference is
     grouped by its orbit signatures.
     """
-    if not _tells_matrices_apart(reference, n):
+    if reference.side != n:
+        raise GridShapeError(f"reference side {reference.side} does not match modulus {n}")
+    if not _tells_matrices_apart(reference):
         groups: dict[frozenset, list[str]] = {}
         for m in maps:
             sig = orbit_signature(validate(m, n), reference)

@@ -1,7 +1,8 @@
 """Command-line surface: scramble/unscramble PNM files, periods, surveys,
 unimodular enumeration and attack experiments.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 math error
+Exit codes: 0 success, 1 usage error (including an argument the library
+refuses, such as a modulus below 2), 2 data/format error, 3 math error
 (map not invertible mod N, modulus above the period bound of 2^32, work or
 survey cell bound exceeded, overflow).
 Results go to stdout, diagnostics to stderr.
@@ -17,7 +18,7 @@ from .maps import build_map
 from .scramble import ScrambleKey, period, plan_unscramble, scramble, unscramble
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -99,13 +100,14 @@ def _parse_ints(text: str, count: int, what: str) -> list[int]:
 
 def _key_from_args(args) -> ScrambleKey:
     if args.key:
+        map_flags = (args.family, args.n, args.i, args.k, args.variant, args.entries)
+        if any(v is not None for v in map_flags):
+            raise UsageError("--key takes no --family, --n, --i, --k, --variant or --entries")
         return keyfile.read_key_file(args.key)
     if not args.family:
         raise UsageError("period needs either --key or --family")
     if args.n is None:
         raise UsageError("period needs --n with --family")
-    if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
     params = {}
     if args.i is not None:
         params["i"] = args.i
@@ -170,12 +172,7 @@ def _cmd_survey(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
         raise UsageError("--families names no family")
-    if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
-    try:
-        report = analysis.period_survey(families, _parse_range(args.param_range), args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = analysis.period_survey(families, _parse_range(args.param_range), args.n)
     if args.format == "json":
         print(analysis.dumps_report(report.to_json_dict()))
     else:
@@ -186,10 +183,7 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        report = analysis.enumerate_unimodular(args.lo, args.hi, collect=args.list)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = analysis.enumerate_unimodular(args.lo, args.hi, collect=args.list)
     if args.format == "json":
         doc = report.to_json_dict()
         if (args.lo, args.hi) == (0, 99):
@@ -213,33 +207,27 @@ def _cmd_enumerate(args) -> int:
 
 def _attack_spec_from_args(args) -> attacks.AttackSpec:
     kind = args.attack
-    try:
-        if kind == "salt-pepper":
-            return attacks.SaltPepper(args.density, seed=args.seed)
-        if kind == "gaussian":
-            var = 100.0 if args.variance is None else args.variance
-            return attacks.GaussianNoise(args.mean, var, seed=args.seed)
-        if kind == "speckle":
-            var = 0.05 if args.variance is None else args.variance
-            return attacks.Speckle(var, seed=args.seed)
-        if kind == "crop":
-            if not args.rect:
-                raise UsageError("crop needs --rect row0,col0,height,width")
-            r0, c0, h, w = _parse_ints(args.rect, 4, "--rect")
-            return attacks.Crop(r0, c0, h, w, fill=args.fill)
-        return attacks.CompressSurrogate(args.quality)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if kind == "salt-pepper":
+        return attacks.SaltPepper(args.density, seed=args.seed)
+    if kind == "gaussian":
+        var = 100.0 if args.variance is None else args.variance
+        return attacks.GaussianNoise(args.mean, var, seed=args.seed)
+    if kind == "speckle":
+        var = 0.05 if args.variance is None else args.variance
+        return attacks.Speckle(var, seed=args.seed)
+    if kind == "crop":
+        if not args.rect:
+            raise UsageError("crop needs --rect row0,col0,height,width")
+        r0, c0, h, w = _parse_ints(args.rect, 4, "--rect")
+        return attacks.Crop(r0, c0, h, w, fill=args.fill)
+    return attacks.CompressSurrogate(args.quality)
 
 
 def _cmd_attack(args) -> int:
     key = keyfile.read_key_file(args.key)
     img = pnm.load_pnm(args.input)
     spec = _attack_spec_from_args(args)
-    try:
-        report = attacks.recovery_experiment(img, key, spec)
-    except ValueError as exc:  # e.g. crop rectangle out of bounds
-        raise UsageError(str(exc)) from exc
+    report = attacks.recovery_experiment(img, key, spec)
     if args.format == "json":
         print(analysis.dumps_report(report.to_json_dict()))
     else:
@@ -269,18 +257,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError, or an argument the library refuses
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

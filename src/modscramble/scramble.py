@@ -29,7 +29,7 @@ from .maps import IDENTITY, Entries, TransformMap, ValidatedMap, power_mod, vali
 
 @dataclass(frozen=True, eq=False)
 class ImageGrid:
-    """Square N x N grid of 8-bit pixels, grayscale (N, N) or RGB (N, N, 3).
+    """Square N x N grid of 8-bit pixels, N >= 1, grayscale (N, N) or RGB (N, N, 3).
 
     The public constructor checks the array and keeps a read-only copy, so
     the caller may go on changing its own array. The library wraps arrays
@@ -51,6 +51,8 @@ class ImageGrid:
             raise GridShapeError(f"pixels must be (N, N) or (N, N, 3), got {px.shape}")
         if h != w:
             raise GridShapeError(f"image is {h} rows x {w} columns; a square image is required")
+        if h == 0:
+            raise GridShapeError("image is empty; a side of at least 1 is required")
         px = px.copy()
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)

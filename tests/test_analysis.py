@@ -233,6 +233,39 @@ def test_a_constant_grid_still_takes_the_image_path(monkeypatch):
     assert len(calls) == 5
 
 
+def repeating_reference(n, rgb):
+    """An n x n grid whose pixels at (0, 1) and (1, 0) occur once, and other values repeat."""
+    rng = np.random.default_rng(n)
+    px = rng.integers(0, 4, (n, n, 3) if rgb else (n, n), dtype=np.uint8)
+    px[0, 1], px[1, 0] = 254, 255
+    px[n - 1, n - 1] = px[n - 2, n - 1]
+    return grid(px)
+
+
+@pytest.mark.parametrize("rgb", [False, True])
+@pytest.mark.parametrize("n", range(4, 33))
+def test_two_unique_basis_pixels_decide_on_matrices(monkeypatch, n, rgb):
+    reference = repeating_reference(n, rgb)
+    maps = sweep_maps(n)
+    from_images = image_path_classes(maps, reference, n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit image was computed")
+
+    monkeypatch.setattr(analysis, "orbit_signature", refuse)
+    monkeypatch.setattr(analysis, "scramble", refuse)
+    report = equivalence_classes(maps, reference, n)
+    assert report.classes == subgroup_classes(maps, n) == from_images
+    a, b = validate(maps[0], n), validate(maps[-1], n)
+    assert pattern_equivalent(a, b, reference) == (proper_powers(a) == proper_powers(b))
+
+
+def test_a_one_pixel_reference_has_no_basis_pixels():
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        equivalence_classes([make_gft(1)], grid([[7]]), 1)
+    assert equivalence_classes([], grid([[7]]), 1).classes == ()
+
+
 @pytest.mark.parametrize("rgb", [False, True])
 def test_one_repeated_pixel_takes_the_image_path(monkeypatch, rgb):
     n = 4
@@ -249,6 +282,8 @@ def test_one_repeated_pixel_takes_the_image_path(monkeypatch, rgb):
 def test_a_side_mismatch_still_raises_grid_shape_error(reference_a):
     with pytest.raises(GridShapeError):
         equivalence_classes([make_gft(1)], reference_a, 5)
+    with pytest.raises(GridShapeError, match="side 3 .* modulus 5"):  # no map moves a pixel
+        equivalence_classes([make_raw(1, 0, 0, 1)], reference_a, 5)
     with pytest.raises(GridShapeError):
         pattern_equivalent(validate(make_gft(1), 5), validate(make_gft(2), 5), reference_a)
 
@@ -398,6 +433,11 @@ def test_survey_takes_unsized_parameters_up_to_the_bound():
     with pytest.raises(WorkBoundError, match="more than .* parameters .* cell bound"):
         period_survey(families, endless(), 8)
     assert len(read) == analysis.SURVEY_CELL_BOUND + 1
+
+
+def test_survey_below_modulus_two_raises():
+    with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+        period_survey(["gft"], range(1, 3), 1)
 
 
 def test_unknown_family_is_rejected():

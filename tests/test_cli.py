@@ -123,6 +123,17 @@ def _one_error_line(capsys) -> str:
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [["--family", "gft"], ["--n", "5"], ["--i", "7"], ["--k", "2"], ["--variant", "1"],
+     ["--entries", "1,1,1,2"], ["--n", "5", "--family", "gft", "--i", "7"]],
+)
+def test_period_key_takes_no_map_flags(workspace, capsys, flags):
+    assert main(["period", "--key", str(workspace / "arnold3.json"), *flags]) == 1
+    assert "--key takes no" in _one_error_line(capsys)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["period", "--family", "gft", "--i", "1", "--n", "10000000000000000000"],
@@ -148,6 +159,13 @@ def test_moduli_above_the_period_bound_exit_3(capsys, argv):
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert main(argv) == 1
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", [["period", "--family", "arnold"],
+                                     ["survey", "--families", "gft", "--range", "1..2"]])
+def test_a_modulus_below_two_is_refused_by_the_library(capsys, command):
+    assert main(command + ["--n", "1"]) == 1
+    assert _one_error_line(capsys) == "error: modulus must be >= 2, got 1\n"
 
 
 def test_invalid_map_is_a_math_error(workspace, capsys):

@@ -123,6 +123,13 @@ def test_image_grid_rejects_non_square_and_wrong_dtype():
         ImageGrid(np.zeros((3, 3, 4), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 0, 3)])
+def test_image_grid_rejects_an_empty_grid(shape):
+    # write_pnm would emit a 0x0 header that read_pnm refuses
+    with pytest.raises(GridShapeError, match="empty"):
+        ImageGrid(np.zeros(shape, dtype=np.uint8))
+
+
 def test_input_grid_is_never_mutated():
     img = random_gray(8, seed=3)
     before = img.pixels.copy()
