@@ -5,30 +5,15 @@ Classes of size > 1 are flagged: a message scrambled by any map in such a
 class can be recovered by iterating any other member, so those maps should
 not be treated as distinct keys.
 
-The reference is an RGB grid of shuffled 24-bit ids, so its pixels are
-pairwise distinct: the classes are exact and are computed on matrices, with
-no orbit scrambled. Past n = 4096 no 24-bit grid is distinct, so larger n
-is refused.
+The classes are the cyclic groups the maps generate mod n, computed on 2x2
+matrices; no image is built, so n may be any modulus up to the period bound.
 """
 
 import argparse
 
-import numpy as np
-
-from modscramble import (
-    ImageGrid,
-    SequenceOverflowError,
-    equivalence_classes,
-    standard_family_maps,
-)
+from modscramble import SequenceOverflowError, cyclic_classes, standard_family_maps
 from modscramble.analysis import dumps_report
-
-
-def distinct_reference(n: int) -> ImageGrid:
-    """An n x n grid, n <= 4096, whose pixels are pairwise distinct."""
-    ids = np.random.default_rng(0).permutation(n * n)
-    rgb = np.stack([ids >> 16, ids >> 8, ids], axis=-1) & 255
-    return ImageGrid(rgb.astype(np.uint8).reshape(n, n, 3))
+from modscramble.scramble import PERIOD_MODULUS_BOUND
 
 
 def largest_index() -> int:
@@ -48,10 +33,10 @@ def main():
     parser.add_argument("--params", default="1..8", metavar="LO..HI")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     args = parser.parse_args()
-    if args.n < 2:
-        parser.error(f"--n must be >= 2, got {args.n}")
-    if args.n > 4096:
-        parser.error(f"--n {args.n}: an n x n grid of 24-bit pixels repeats a value past n = 4096")
+    if not 2 <= args.n <= PERIOD_MODULUS_BOUND:
+        parser.error(
+            f"--n must be between 2 and {PERIOD_MODULUS_BOUND}, the period bound; got {args.n}"
+        )
 
     lo, _, hi = args.params.partition("..")
     try:
@@ -69,7 +54,7 @@ def main():
             f"--params {args.params}: a family term leaves 64 bits; "
             f"the largest valid index is {largest_index()}"
         )
-    report = equivalence_classes(maps, distinct_reference(args.n), args.n)
+    report = cyclic_classes(maps, args.n)
 
     if args.format == "json":
         print(dumps_report(report.to_json_dict()))

@@ -46,6 +46,7 @@ from .analysis import (
     EquivalenceReport,
     OrbitSignature,
     SurveyReport,
+    cyclic_classes,
     enumerate_unimodular,
     equivalence_classes,
     orbit_signature,

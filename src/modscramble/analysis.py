@@ -7,8 +7,9 @@ n. When its pixels at (1, 0) and (0, 1) each occur once, a state A^t *
 reference shows where those two pixels went, which are the columns of A^t
 mod n; the state set of a map A then stands for its cyclic group <A>
 without the identity, and equivalence is decided on 2x2 matrices: equal
-orders and membership by baby-step giant-step. Any other reference is
-scrambled through the orbit, state by state. Surveys and the unimodular
+orders and membership by baby-step giant-step. cyclic_classes groups maps
+that way from the maps and n alone. Any other reference is scrambled
+through the orbit, state by state. Surveys and the unimodular
 enumeration are the desk-scale reproductions of the reference period tables.
 """
 
@@ -348,10 +349,9 @@ def equivalence_classes(
     Classes keep the order in which their first member appears, and each
     class keeps its members in input order. A reference whose side is not
     n raises GridShapeError before any map is read. When the reference
-    pixels at (1, 0) and (0, 1) each occur once, a map joins the first class
-    whose representative generates the same cyclic group, found by order and
-    baby-step giant-step; no image is scrambled. Any other reference is
-    grouped by its orbit signatures.
+    pixels at (1, 0) and (0, 1) each occur once, the classes are
+    cyclic_classes(maps, n) and no image is scrambled. Any other reference
+    is grouped by its orbit signatures.
     """
     if reference.side != n:
         raise GridShapeError(f"reference side {reference.side} does not match modulus {n}")
@@ -361,6 +361,18 @@ def equivalence_classes(
             sig = orbit_signature(validate(m, n), reference)
             groups.setdefault(sig.state_set, []).append(m.label)
         return EquivalenceReport(n, tuple(tuple(labels) for labels in groups.values()))
+    return cyclic_classes(maps, n)
+
+
+def cyclic_classes(maps: list[TransformMap], n: int) -> EquivalenceReport:
+    """Group maps mod n by the cyclic group each generates; no image is needed.
+
+    A map joins the first class whose representative generates the same
+    group, found by order and baby-step giant-step. Classes keep the order in
+    which their first member appears, and each class keeps its members in
+    input order. These are the classes equivalence_classes returns for any
+    reference whose pixels at (1, 0) and (0, 1) each occur once.
+    """
     classes: list[tuple[_CyclicGroup, list[str]]] = []
     for m in maps:
         vm = validate(m, n)

@@ -133,7 +133,7 @@ def _cmd_scramble(args) -> int:
 
 def _cmd_unscramble(args) -> int:
     key = keyfile.read_key_file(args.key)
-    img = pnm.load_pnm(args.input)
+    plain = unscramble(pnm.load_pnm(args.input), key)
     if args.verbose:
         plan = plan_unscramble(key.validated(), key.iterations)
         print(
@@ -141,7 +141,7 @@ def _cmd_unscramble(args) -> int:
             f"inverse route {plan.inverse_steps} steps; using {plan.chosen}",
             file=sys.stderr,
         )
-    pnm.save_pnm(args.output, unscramble(img, key))
+    pnm.save_pnm(args.output, plain)
     return 0
 
 

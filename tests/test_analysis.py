@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from modscramble import (
     ScrambleKey,
     SequenceFamily,
     WorkBoundError,
+    cyclic_classes,
     enumerate_unimodular,
     equivalence_classes,
+    make_fibonacci_q,
     make_flt,
     make_gft,
     make_raw,
@@ -187,9 +190,10 @@ def test_algebraic_classes_match_the_image_path_and_the_subgroup_oracle(n):
     if n <= 16:
         gray = np.random.default_rng(n).permutation(n * n).astype(np.uint8)
         references.append(grid(gray.reshape(n, n)))
+    algebraic = cyclic_classes(maps, n).classes
     for reference in references:
         report = equivalence_classes(maps, reference, n)
-        assert report.classes == image_path_classes(maps, reference, n) == expected
+        assert report.classes == image_path_classes(maps, reference, n) == algebraic == expected
 
 
 @pytest.mark.parametrize("n", [3, 64])
@@ -207,6 +211,26 @@ def test_a_distinct_reference_scrambles_no_image(monkeypatch, reference_a, n):
     for i, j in [(1, 5), (1, 2), (2, 2)]:
         a, b = validate(make_gft(i), n), validate(make_gft(j), n)
         assert pattern_equivalent(a, b, reference) == (proper_powers(a) == proper_powers(b))
+
+
+@pytest.mark.parametrize("n", [4097, 5000])
+def test_cyclic_classes_need_no_reference_past_24_bit_sides(monkeypatch, n):
+    maps = standard_family_maps(1, 8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit image was computed")
+
+    monkeypatch.setattr(analysis, "orbit_signature", refuse)
+    monkeypatch.setattr(analysis, "scramble", refuse)
+    assert cyclic_classes(maps, n).classes == subgroup_classes(maps, n)
+
+
+def test_fibonacci_q_and_its_cube_share_a_class_at_a_large_prime():
+    n = 1000003
+    q = validate(make_fibonacci_q(), n)
+    assert power_mod(q, 3) == make_flt(F.FIB32, 1).entries  # F(32)LT_1 = Q^3
+    assert math.gcd(3, period(q)) == 1  # so Q^3 generates <Q>
+    assert ("fibonacci-q", "F(32)LT_1") in cyclic_classes(standard_family_maps(1, 8), n).classes
 
 
 def _count_orbit_signatures(monkeypatch):

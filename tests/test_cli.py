@@ -69,6 +69,18 @@ def test_unscramble_verbose_reports_both_route_costs(tmp_path, capsys):
     assert load_pnm(tmp_path / "b.pgm") == img
 
 
+@pytest.mark.parametrize("verbose", [[], ["--verbose"]])
+@pytest.mark.parametrize("n", [65, 2**33])
+def test_unscramble_refuses_a_side_mismatch_before_reporting_a_route(tmp_path, capsys, n, verbose):
+    save_pnm(tmp_path / "s.pgm", random_gray(64, seed=2))
+    write_key_file(tmp_path / "k.json", ScrambleKey(make_arnold(), n, 3))
+    out = tmp_path / "b.pgm"
+    rc = main(["unscramble", str(tmp_path / "s.pgm"), str(tmp_path / "k.json"), str(out), *verbose])
+    assert rc == 2
+    assert "period" not in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_unscramble_route_option_is_a_usage_error(workspace, capsys):
     out = workspace / "out.pgm"
     rc = main(["unscramble", str(workspace / "a.pgm"), str(workspace / "arnold3.json"),

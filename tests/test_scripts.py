@@ -1,9 +1,15 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from modscramble import equivalence_classes, standard_family_maps
+from modscramble.analysis import dumps_report
+
+from conftest import distinct_rgb
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,6 +42,24 @@ def assert_usage_error(run, message):
 )
 def test_equivalence_report_rejects_bad_params(params, message):
     assert_usage_error(run_script("run_equivalence_report.py", "--params", params), message)
+
+
+def test_equivalence_report_takes_sides_past_24_bit_pixels():
+    run = run_script("run_equivalence_report.py", "--n", "5000", "--format", "json")
+    assert run.returncode == 0, run.stderr
+    assert len(json.loads(run.stdout)["classes"]) == 49
+
+
+def test_equivalence_report_refuses_moduli_above_the_period_bound():
+    run = run_script("run_equivalence_report.py", "--n", "4294967297")
+    assert_usage_error(run, "--n must be between 2 and 4294967296")
+
+
+@pytest.mark.parametrize("n", [3, 1024])
+def test_equivalence_report_matches_the_reference_path(n):
+    run = run_script("run_equivalence_report.py", "--n", str(n), "--format", "json")
+    report = equivalence_classes(standard_family_maps(1, 8), distinct_rgb(n), n)
+    assert run.stdout == dumps_report(report.to_json_dict()) + "\n"
 
 
 @pytest.mark.parametrize(
