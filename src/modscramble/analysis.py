@@ -58,9 +58,10 @@ SURVEY_REFERENCE_128 = {
     "f31lt": (64, 64, 32, 64, 64, 8, 64, 64, 32, 64, 64, 4, 64, 64, 32, 64),
 }
 
-#: Largest accepted entry range, as (hi-lo+1)^4 candidate tuples. The count does
-#: (hi-lo+1)^2 work; the limit stays so the refused ranges and exit codes do too.
-ENUMERATION_WORK_BOUND = 10**9
+#: Largest accepted entry range, as (hi-lo+1)^2 entry products, each sorted once:
+#: 0..499 is accepted and 0..500 refused. On a 2-CPU Xeon, 0..499 counts in
+#: 0.08 s and 47 MB and lists its matrices in 0.9 s and 182 MB.
+ENUMERATION_WORK_BOUND = 250_000
 
 #: Largest accepted survey, as families x parameters cells; checked on the
 #: size of the parameter range before anything is built from it.
@@ -89,6 +90,11 @@ class EnumerationReport:
     det_minus: int
     matrices: tuple[tuple[int, int, int, int], ...] | None = None
 
+    @property
+    def reference_count(self) -> int | None:
+        """The published count for entries in 0..99; None for any other range."""
+        return UNIMODULAR_REFERENCE_COUNT_0_99 if (self.lo, self.hi) == (0, 99) else None
+
     def to_json_dict(self) -> dict:
         d = {
             "lo": self.lo,
@@ -98,9 +104,26 @@ class EnumerationReport:
             "det_plus_one": self.det_plus,
             "det_minus_one": self.det_minus,
         }
+        if self.reference_count is not None:
+            d["reference_count"] = self.reference_count
+            d["matches_reference"] = self.count == self.reference_count
         if self.matrices is not None:
             d["matrices"] = [list(m) for m in self.matrices]
         return d
+
+    def to_text(self) -> str:
+        lines = [
+            f"unimodular maps with entries in [{self.lo}, {self.hi}]: {self.count} "
+            f"(det +1: {self.det_plus}, det -1: {self.det_minus})"
+        ]
+        if self.reference_count is not None:
+            verdict = "matches" if self.count == self.reference_count else "DIFFERS FROM"
+            lines.append(
+                f"reference count {self.reference_count}: computed value {verdict} the reference"
+            )
+        if self.matrices is not None:
+            lines += [f"({a}, {b} / {c}, {d})" for a, b, c, d in self.matrices]
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -251,10 +274,10 @@ def enumerate_unimodular(lo: int, hi: int, collect: bool = False) -> Enumeration
     if lo > hi:
         raise ValueError(f"empty entry range: lo {lo} > hi {hi}")
     span = hi - lo + 1
-    work = span**4
+    work = span**2
     if work > ENUMERATION_WORK_BOUND:
         raise WorkBoundError(
-            f"range [{lo}, {hi}] needs {work} candidate tuples, "
+            f"range [{lo}, {hi}] needs {work} entry products, "
             f"above the work bound of {ENUMERATION_WORK_BOUND}"
         )
     if max(abs(lo), abs(hi)) ** 2 + 1 > INT64_MAX:

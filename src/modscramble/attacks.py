@@ -13,6 +13,7 @@ is on the dimensionless multiplicative factor.
 
 import math
 from dataclasses import dataclass, field
+from typing import get_args
 
 import numpy as np
 
@@ -33,6 +34,17 @@ class SaltPepper:
 
     kind = "salt-pepper"
 
+    def apply(self, img: ImageGrid) -> ImageGrid:
+        n = img.side
+        count = math.ceil(self.density * n * n)
+        out = img.pixels.copy()
+        if count:
+            rng = np.random.default_rng(self.seed)
+            flat = rng.choice(n * n, size=count, replace=False)
+            values = rng.integers(0, 2, size=count, dtype=np.uint8) * 255
+            out.reshape(n * n, -1)[flat] = values[:, None]
+        return ImageGrid._own(out)
+
 
 @dataclass(frozen=True)
 class GaussianNoise:
@@ -50,6 +62,12 @@ class GaussianNoise:
 
     kind = "gaussian"
 
+    def apply(self, img: ImageGrid) -> ImageGrid:
+        rng = np.random.default_rng(self.seed)
+        noise = rng.normal(self.mean, math.sqrt(self.variance), img.pixels.shape)
+        noise += img.pixels
+        return _to_grid(noise)
+
 
 @dataclass(frozen=True)
 class Speckle:
@@ -63,6 +81,13 @@ class Speckle:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
 
     kind = "speckle"
+
+    def apply(self, img: ImageGrid) -> ImageGrid:
+        rng = np.random.default_rng(self.seed)
+        noise = rng.normal(0.0, math.sqrt(self.variance), img.pixels.shape)
+        noise += 1.0
+        noise *= img.pixels
+        return _to_grid(noise)
 
 
 @dataclass(frozen=True)
@@ -82,6 +107,17 @@ class Crop:
             raise ValueError(f"fill must be a byte value, got {self.fill}")
 
     kind = "crop"
+
+    def apply(self, img: ImageGrid) -> ImageGrid:
+        n = img.side
+        if self.row0 + self.height > n or self.col0 + self.width > n:
+            raise ValueError(
+                f"crop rectangle {self.row0},{self.col0} size {self.height}x{self.width} "
+                f"exceeds the {n}x{n} grid"
+            )
+        out = img.pixels.copy()
+        out[self.row0 : self.row0 + self.height, self.col0 : self.col0 + self.width] = self.fill
+        return ImageGrid._own(out)
 
 
 #: Base luminance quantization table used by the compression surrogate.
@@ -123,8 +159,44 @@ class CompressSurrogate:
         scale = 5000 / q if q < 50 else 200 - 2 * q
         return np.clip(np.floor((QUANT_TABLE * scale + 50) / 100), 1, 255)
 
+    def apply(self, img: ImageGrid) -> ImageGrid:
+        """Every 8x8 block of every channel in one batched DCT, quantise, inverse DCT.
+
+        The edge-padded (N, N, C) grid becomes contiguous (C, m, m, 8, 8) float64
+        blocks; the transforms run in place through one scratch array, which is
+        dropped before the blocks are transposed back, so at most two float64
+        copies of the padded image are alive at once.
+        """
+        table = self.scaled_table()
+        n = img.side
+        m = -(-n // 8)
+        pad = 8 * m - n
+        blocks = (
+            np.pad(img.pixels.reshape(n, n, -1), ((0, pad), (0, pad), (0, 0)), mode="edge")
+            .reshape(m, 8, m, 8, -1)
+            .transpose(4, 0, 2, 1, 3)
+            .astype(np.float64, order="C")
+        )
+        blocks -= 128.0
+        scratch = np.empty_like(blocks)
+        np.matmul(_DCT8, blocks, out=scratch)
+        np.matmul(scratch, _DCT8.T, out=blocks)
+        blocks /= table
+        np.round(blocks, out=blocks)
+        blocks *= table
+        np.matmul(_DCT8.T, blocks, out=scratch)
+        np.matmul(scratch, _DCT8, out=blocks)
+        del scratch
+        blocks += 128.0
+        out = blocks.transpose(1, 3, 2, 4, 0).reshape(8 * m, 8 * m, -1)
+        del blocks
+        return _to_grid(out[:n, :n].reshape(img.pixels.shape))
+
 
 AttackSpec = SaltPepper | GaussianNoise | Speckle | Crop | CompressSurrogate
+
+#: Attack kind -> spec class, in the order of AttackSpec.
+SPECS = {spec.kind: spec for spec in get_args(AttackSpec)}
 
 
 def _to_grid(arr: np.ndarray) -> ImageGrid:
@@ -132,45 +204,6 @@ def _to_grid(arr: np.ndarray) -> ImageGrid:
     np.rint(arr, out=arr)
     np.clip(arr, 0, 255, out=arr)
     return ImageGrid._own(arr.astype(np.uint8))
-
-
-def _salt_pepper(img: ImageGrid, spec: SaltPepper) -> ImageGrid:
-    n = img.side
-    count = math.ceil(spec.density * n * n)
-    out = img.pixels.copy()
-    if count:
-        rng = np.random.default_rng(spec.seed)
-        flat = rng.choice(n * n, size=count, replace=False)
-        values = rng.integers(0, 2, size=count, dtype=np.uint8) * 255
-        out.reshape(n * n, -1)[flat] = values[:, None]
-    return ImageGrid._own(out)
-
-
-def _gaussian(img: ImageGrid, spec: GaussianNoise) -> ImageGrid:
-    rng = np.random.default_rng(spec.seed)
-    noise = rng.normal(spec.mean, math.sqrt(spec.variance), img.pixels.shape)
-    noise += img.pixels
-    return _to_grid(noise)
-
-
-def _speckle(img: ImageGrid, spec: Speckle) -> ImageGrid:
-    rng = np.random.default_rng(spec.seed)
-    noise = rng.normal(0.0, math.sqrt(spec.variance), img.pixels.shape)
-    noise += 1.0
-    noise *= img.pixels
-    return _to_grid(noise)
-
-
-def _crop(img: ImageGrid, spec: Crop) -> ImageGrid:
-    n = img.side
-    if spec.row0 + spec.height > n or spec.col0 + spec.width > n:
-        raise ValueError(
-            f"crop rectangle {spec.row0},{spec.col0} size {spec.height}x{spec.width} "
-            f"exceeds the {n}x{n} grid"
-        )
-    out = img.pixels.copy()
-    out[spec.row0 : spec.row0 + spec.height, spec.col0 : spec.col0 + spec.width] = spec.fill
-    return ImageGrid._own(out)
 
 
 def _dct_matrix(size: int = 8) -> np.ndarray:
@@ -184,53 +217,11 @@ def _dct_matrix(size: int = 8) -> np.ndarray:
 _DCT8 = _dct_matrix(8)
 
 
-def _compress(img: ImageGrid, spec: CompressSurrogate) -> ImageGrid:
-    """Every 8x8 block of every channel in one batched DCT, quantise, inverse DCT.
-
-    The edge-padded (N, N, C) grid becomes contiguous (C, m, m, 8, 8) float64
-    blocks; the transforms run in place through one scratch array, which is
-    dropped before the blocks are transposed back, so at most two float64
-    copies of the padded image are alive at once.
-    """
-    table = spec.scaled_table()
-    n = img.side
-    m = -(-n // 8)
-    pad = 8 * m - n
-    blocks = (
-        np.pad(img.pixels.reshape(n, n, -1), ((0, pad), (0, pad), (0, 0)), mode="edge")
-        .reshape(m, 8, m, 8, -1)
-        .transpose(4, 0, 2, 1, 3)
-        .astype(np.float64, order="C")
-    )
-    blocks -= 128.0
-    scratch = np.empty_like(blocks)
-    np.matmul(_DCT8, blocks, out=scratch)
-    np.matmul(scratch, _DCT8.T, out=blocks)
-    blocks /= table
-    np.round(blocks, out=blocks)
-    blocks *= table
-    np.matmul(_DCT8.T, blocks, out=scratch)
-    np.matmul(scratch, _DCT8, out=blocks)
-    del scratch
-    blocks += 128.0
-    out = blocks.transpose(1, 3, 2, 4, 0).reshape(8 * m, 8 * m, -1)
-    del blocks
-    return _to_grid(out[:n, :n].reshape(img.pixels.shape))
-
-
 def apply_attack(img: ImageGrid, spec: AttackSpec) -> ImageGrid:
     """Deterministic given (img, spec); stochastic kinds draw from spec.seed."""
-    if isinstance(spec, SaltPepper):
-        return _salt_pepper(img, spec)
-    if isinstance(spec, GaussianNoise):
-        return _gaussian(img, spec)
-    if isinstance(spec, Speckle):
-        return _speckle(img, spec)
-    if isinstance(spec, Crop):
-        return _crop(img, spec)
-    if isinstance(spec, CompressSurrogate):
-        return _compress(img, spec)
-    raise TypeError(f"not an attack spec: {spec!r}")
+    if not isinstance(spec, AttackSpec):
+        raise TypeError(f"not an attack spec: {spec!r}")
+    return spec.apply(img)
 
 
 def _check_same_shape(a: ImageGrid, b: ImageGrid) -> None:

@@ -11,6 +11,7 @@ Results go to stdout, diagnostics to stderr.
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import analysis, attacks, keyfile, pnm
 from .errors import DataError, MathError
@@ -70,16 +71,17 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("attack", help="scramble, attack, unscramble, report recovery metrics")
     p.add_argument("input")
     p.add_argument("key")
-    p.add_argument("--attack", required=True,
-                   choices=["salt-pepper", "gaussian", "speckle", "crop", "compress"])
+    # Each flag but --rect is named after a spec field; where the parser sets no
+    # default, a flag left out leaves the spec's own default in place.
+    p.add_argument("--attack", required=True, choices=list(attacks.SPECS))
     p.add_argument("--density", type=float, default=0.05, help="salt-pepper pixel fraction")
-    p.add_argument("--mean", type=float, default=0.0, help="gaussian mean")
-    p.add_argument("--variance", type=float, default=None,
+    p.add_argument("--mean", type=float, help="gaussian mean")
+    p.add_argument("--variance", type=float,
                    help="gaussian variance (0..255 scale) or speckle variance")
     p.add_argument("--rect", help="crop rectangle row0,col0,height,width")
-    p.add_argument("--fill", type=int, default=0, help="crop fill value")
+    p.add_argument("--fill", type=int, help="crop fill value")
     p.add_argument("--quality", type=int, default=50, help="compression surrogate quality 1..100")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--attacked-out", help="write the attacked scrambled image here")
     p.add_argument("--recovered-out", help="write the recovered image here")
@@ -168,70 +170,42 @@ def _parse_range(text: str) -> range:
     return params
 
 
+def _print_report(report, fmt: str) -> None:
+    """A survey, enumeration or recovery report on stdout, as JSON or as its text."""
+    print(analysis.dumps_report(report.to_json_dict()) if fmt == "json" else report.to_text())
+
+
 def _cmd_survey(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
         raise UsageError("--families names no family")
     report = analysis.period_survey(families, _parse_range(args.param_range), args.n)
-    if args.format == "json":
-        print(analysis.dumps_report(report.to_json_dict()))
-    else:
-        print(report.to_text())
+    _print_report(report, args.format)
     if report.error_count:
         print(f"warning: {report.error_count} cell(s) failed", file=sys.stderr)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    report = analysis.enumerate_unimodular(args.lo, args.hi, collect=args.list)
-    if args.format == "json":
-        doc = report.to_json_dict()
-        if (args.lo, args.hi) == (0, 99):
-            doc["reference_count"] = analysis.UNIMODULAR_REFERENCE_COUNT_0_99
-            doc["matches_reference"] = report.count == analysis.UNIMODULAR_REFERENCE_COUNT_0_99
-        print(analysis.dumps_report(doc))
-    else:
-        print(
-            f"unimodular maps with entries in [{args.lo}, {args.hi}]: {report.count} "
-            f"(det +1: {report.det_plus}, det -1: {report.det_minus})"
-        )
-        if (args.lo, args.hi) == (0, 99):
-            ref = analysis.UNIMODULAR_REFERENCE_COUNT_0_99
-            verdict = "matches" if report.count == ref else "DIFFERS FROM"
-            print(f"reference count {ref}: computed value {verdict} the reference")
-        if report.matrices is not None:
-            for a, b, c, d in report.matrices:
-                print(f"({a}, {b} / {c}, {d})")
+    _print_report(analysis.enumerate_unimodular(args.lo, args.hi, collect=args.list), args.format)
     return 0
 
 
 def _attack_spec_from_args(args) -> attacks.AttackSpec:
-    kind = args.attack
-    if kind == "salt-pepper":
-        return attacks.SaltPepper(args.density, seed=args.seed)
-    if kind == "gaussian":
-        var = 100.0 if args.variance is None else args.variance
-        return attacks.GaussianNoise(args.mean, var, seed=args.seed)
-    if kind == "speckle":
-        var = 0.05 if args.variance is None else args.variance
-        return attacks.Speckle(var, seed=args.seed)
-    if kind == "crop":
+    spec = attacks.SPECS[args.attack]
+    given = {f.name: getattr(args, f.name) for f in fields(spec)
+             if getattr(args, f.name, None) is not None}
+    if spec is attacks.Crop:
         if not args.rect:
             raise UsageError("crop needs --rect row0,col0,height,width")
-        r0, c0, h, w = _parse_ints(args.rect, 4, "--rect")
-        return attacks.Crop(r0, c0, h, w, fill=args.fill)
-    return attacks.CompressSurrogate(args.quality)
+        given.update(zip(("row0", "col0", "height", "width"), _parse_ints(args.rect, 4, "--rect")))
+    return spec(**given)
 
 
 def _cmd_attack(args) -> int:
     key = keyfile.read_key_file(args.key)
     img = pnm.load_pnm(args.input)
-    spec = _attack_spec_from_args(args)
-    report = attacks.recovery_experiment(img, key, spec)
-    if args.format == "json":
-        print(analysis.dumps_report(report.to_json_dict()))
-    else:
-        print(report.to_text())
+    report = attacks.recovery_experiment(img, key, _attack_spec_from_args(args))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(analysis.dumps_report(report.to_json_dict()) + "\n")
@@ -239,6 +213,7 @@ def _cmd_attack(args) -> int:
         pnm.save_pnm(args.attacked_out, report.attacked)
     if args.recovered_out:
         pnm.save_pnm(args.recovered_out, report.recovered)
+    _print_report(report, args.format)  # last, so a failed write prints no result
     return 0
 
 

@@ -379,8 +379,9 @@ def test_unimodular_set_is_closed_under_transposition():
 
 
 def test_enumeration_work_bound():
-    with pytest.raises(WorkBoundError):
-        enumerate_unimodular(0, 300)
+    with pytest.raises(WorkBoundError, match="251001 entry products"):
+        enumerate_unimodular(0, 500)
+    assert enumerate_unimodular(0, 499).count > 0  # 500**2 products: on the bound
     with pytest.raises(ValueError):
         enumerate_unimodular(3, 2)
 
@@ -392,6 +393,39 @@ def test_enumeration_refuses_entries_whose_products_leave_64_bits():
     for lo, hi in [(3037000500, 3037000510), (-3037000500, -3037000499), (10**19, 10**19 + 1)]:
         with pytest.raises(IntegerOverflowError):
             enumerate_unimodular(lo, hi)
+
+
+def counts_by_b(hi):
+    """(det +1, det -1) counts for entries in 0..hi by a loop over b: for each
+    b and every c, how many (a, d) have ad = bc + 1, and how many ad = bc - 1."""
+    entries = np.arange(hi + 1)
+    # pairs[p + 1] = number of (a, d) with a * d = p, so index 0 stands for p = -1
+    pairs = np.bincount(np.multiply.outer(entries, entries).ravel() + 1, minlength=hi * hi + 3)
+    plus = minus = 0
+    for b in range(hi + 1):
+        bc = b * entries
+        plus += int(pairs[bc + 2].sum())
+        minus += int(pairs[bc].sum())
+    return plus, minus
+
+
+def test_enumeration_of_0_300_matches_a_count_by_rows():
+    expected = brute_force_unimodular(0, 5)
+    assert counts_by_b(5) == (sum(1 for a, b, c, d in expected if a * d - b * c == 1),
+                              sum(1 for a, b, c, d in expected if a * d - b * c == -1))
+    report = enumerate_unimodular(0, 300)
+    assert (report.det_plus, report.det_minus) == counts_by_b(300) == (109591, 109591)
+    assert report.count == 219182
+
+
+def test_only_the_0_99_report_states_the_reference():
+    ref = analysis.UNIMODULAR_REFERENCE_COUNT_0_99
+    assert analysis.EnumerationReport(0, 98, ref, ref // 2, ref // 2).reference_count is None
+    off = analysis.EnumerationReport(0, 99, ref - 1, ref // 2, ref // 2 - 1)
+    assert off.to_json_dict()["matches_reference"] is False
+    assert off.to_text().splitlines()[1] == (
+        f"reference count {ref}: computed value DIFFERS FROM the reference"
+    )
 
 
 def test_enumeration_json_fields():

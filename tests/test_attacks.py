@@ -25,7 +25,7 @@ from modscramble import (
     scramble,
     validate,
 )
-from modscramble.attacks import _DCT8, spec_to_dict, sse
+from modscramble.attacks import _DCT8, SPECS, spec_to_dict, sse
 
 from conftest import random_gray, random_rgb
 
@@ -93,6 +93,16 @@ def test_crop_rectangle_out_of_bounds():
     img = midrange_gray(8)
     with pytest.raises(ValueError):
         apply_attack(img, Crop(4, 4, 5, 2))
+    with pytest.raises(ValueError, match=">= 0"):
+        Crop(4, -1, 2, 2)
+
+
+def test_specs_name_each_attack_kind_once():
+    assert list(SPECS) == ["salt-pepper", "gaussian", "speckle", "crop", "compress"]
+    assert all(spec.kind == kind for kind, spec in SPECS.items())
+    for not_a_spec in (None, "gaussian", GaussianNoise):
+        with pytest.raises(TypeError, match="not an attack spec"):
+            apply_attack(midrange_gray(4), not_a_spec)
 
 
 def test_crop_changes_only_the_rectangle():

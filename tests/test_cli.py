@@ -3,11 +3,14 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modscramble import ScrambleKey, build_map, make_arnold, make_flt
+from modscramble import (CompressSurrogate, Crop, GaussianNoise, SaltPepper, ScrambleKey, Speckle,
+                         build_map, make_arnold, make_flt)
 from modscramble import SequenceFamily as F
+from modscramble.analysis import UNIMODULAR_REFERENCE_COUNT_0_99
+from modscramble.attacks import spec_to_dict
 from modscramble.cli import main
 from modscramble.keyfile import write_key_file
 from modscramble.pnm import load_pnm, save_pnm, write_pnm
@@ -108,6 +111,10 @@ def test_period_command_prints_the_period(capsys):
     assert main(["period", "--family", "raw", "--entries", "1,0,0,1", "--n", "7"]) == 0
     assert "period 1" in capsys.readouterr().out
 
+    # no --variant: build_map supplies the family's default
+    assert main(["period", "--family", "gat", "--k", "1", "--n", "5"]) == 0
+    assert capsys.readouterr().out == "GAT(k=1,v0) mod 5: period 10\n"
+
 
 def test_period_command_json(capsys):
     assert main(["period", "--family", "arnold", "--n", "128", "--format", "json"]) == 0
@@ -125,6 +132,7 @@ def test_period_usage_errors(capsys):
     assert main(["period", "--family", "arnold"]) == 1  # missing --n
     assert main(["period"]) == 1
     assert main(["period", "--family", "raw", "--entries", "1,2,3", "--n", "7"]) == 1
+    assert main(["period", "--family", "raw", "--entries", "a,b,c,d", "--n", "7"]) == 1
 
 
 def _one_error_line(capsys) -> str:
@@ -265,8 +273,11 @@ def test_enumerate_small_range_with_listing(capsys):
 
 
 def test_enumerate_range_guard(capsys):
-    assert main(["enumerate", "--lo", "0", "--hi", "300"]) == 3
-    assert "work bound" in capsys.readouterr().err
+    assert main(["enumerate", "--lo", "0", "--hi", "500"]) == 3
+    err = _one_error_line(capsys)
+    assert "work bound" in err and "251001 entry products" in err
+    assert main(["enumerate", "--lo", "0", "--hi", "499"]) == 0  # 250000 products: the edge
+    assert capsys.readouterr().out.startswith("unimodular maps with entries in [0, 499]: ")
 
 
 @pytest.mark.parametrize("lo", ["3037000500", "10000000000000000000"])
@@ -281,6 +292,18 @@ def test_enumerate_json(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == doc["det_plus_one"] + doc["det_minus_one"]
+
+
+def test_enumerate_0_99_states_the_reference(capsys):
+    ref = UNIMODULAR_REFERENCE_COUNT_0_99
+    assert main(["enumerate", "--lo", "0", "--hi", "99"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"unimodular maps with entries in [0, 99]: {ref} (det +1: 12015, det -1: 12015)",
+        f"reference count {ref}: computed value matches the reference",
+    ]
+    assert main(["enumerate", "--lo", "0", "--hi", "99", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reference_count"] == doc["count"] == ref and doc["matches_reference"] is True
 
 
 def test_attack_command_reports_matching_damage(tmp_path, capsys):
@@ -328,6 +351,31 @@ def test_attack_compress_quality_4(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["attack"]["quality"] == 4
     assert doc["mse_on_scrambled"] == doc["mse_on_recovered"] > 0
+
+
+@pytest.mark.parametrize(
+    "flags, spec",
+    [
+        (["--attack", "salt-pepper"], SaltPepper(0.05)),
+        (["--attack", "gaussian"], GaussianNoise()),
+        (["--attack", "gaussian", "--mean", "3", "--variance", "7", "--seed", "5"],
+         GaussianNoise(3.0, 7.0, 5)),
+        (["--attack", "speckle"], Speckle()),
+        (["--attack", "speckle", "--variance", "0.2", "--mean", "9", "--fill", "4"],
+         Speckle(0.2)),
+        (["--attack", "crop", "--rect", "1,2,5,6"], Crop(1, 2, 5, 6)),
+        (["--attack", "crop", "--rect", "1,2,5,6", "--fill", "9", "--seed", "3"],
+         Crop(1, 2, 5, 6, fill=9)),
+        (["--attack", "compress"], CompressSurrogate(50)),
+    ],
+)
+def test_attack_flags_left_out_take_the_spec_defaults(tmp_path, capsys, flags, spec):
+    # flags a kind has no field for are ignored
+    save_pnm(tmp_path / "img.pgm", random_gray(16, seed=7))
+    write_key_file(tmp_path / "k.json", ScrambleKey(make_arnold(), 16, 2))
+    argv = ["attack", str(tmp_path / "img.pgm"), str(tmp_path / "k.json"), "--format", "json"]
+    assert main(argv + flags) == 0
+    assert json.loads(capsys.readouterr().out)["attack"] == spec_to_dict(spec)
 
 
 def test_attack_usage_errors(tmp_path, capsys):
@@ -436,6 +484,8 @@ def _reject_constant(name):
 
 
 @given(argv=_argv())
+@example(argv=["attack", "@gray.pgm", "@key8.json", "--attack", "gaussian", "--format", "json",
+               "--attacked-out", "@no/such/dir.pgm"])  # a failed write after the experiment
 @settings(max_examples=150, deadline=None)
 def test_cli_argument_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
     argv = [str(fuzz_dir / a[1:]) if a.startswith("@") else a for a in argv]
@@ -443,6 +493,8 @@ def test_cli_argument_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in {0, 1, 2, 3}, (argv, rc)
+    if rc != 0:
+        assert out.getvalue() == "", (argv, rc)  # a failed command prints no result
     formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
     if rc == 0 and formats and formats[-1] == "json":
         json.loads(out.getvalue(), parse_constant=_reject_constant)

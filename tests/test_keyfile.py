@@ -83,6 +83,7 @@ def test_version_checked():
         {"params": {"i": 6.7}},
         {"params": {"i": "6"}},
         {"params": {"i": True}},
+        {"params": [6]},
         {"family": "raw", "params": {"entries": [1.9, 1, 1, 2]}},
         {"version": True},
         {"version": 1.0},

@@ -122,6 +122,8 @@ def test_flt_series_restricted_to_seeded_fibonacci_variants():
         make_flt(F.LUCAS, 1)
     with pytest.raises(ValueError):
         make_flt(F.FIB01, 1)
+    with pytest.raises(ValueError, match="i must be >= 1"):
+        make_flt(F.FIB11, 0)
 
 
 def test_flt_index_3_carries_a_warning_not_an_error():
@@ -163,6 +165,13 @@ def test_determinant_overflow_guard():
 )
 def test_triangular_variants(k, variant, expected):
     assert make_triangular(k, variant).entries == expected
+
+
+def test_triangular_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        make_triangular(-1, 0)
+    with pytest.raises(ValueError, match="variant must be 0..3"):
+        make_triangular(1, 4)
 
 
 def test_triangular_variant0_determinant_is_minus_one():

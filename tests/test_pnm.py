@@ -100,6 +100,8 @@ def test_garbage_header_rejected():
         read_pnm(b"P5 three 3 255 " + bytes(9))
     with pytest.raises(PnmFormatError):
         read_pnm(b"P5 3 3")
+    with pytest.raises(PnmFormatError, match="missing whitespace after maxval"):
+        read_pnm(b"P5 3 3 255")
 
 
 @pytest.mark.parametrize(

@@ -130,6 +130,13 @@ def test_image_grid_rejects_an_empty_grid(shape):
         ImageGrid(np.zeros(shape, dtype=np.uint8))
 
 
+def test_image_grid_equals_only_a_grid():
+    img = random_gray(3, seed=2)
+    assert img == ImageGrid(img.pixels.copy())
+    assert img.__eq__(img.pixels) is NotImplemented
+    assert img != "grid"
+
+
 def test_input_grid_is_never_mutated():
     img = random_gray(8, seed=3)
     before = img.pixels.copy()
@@ -521,6 +528,15 @@ def test_split_and_single_passes_give_equal_bytes(monkeypatch, make_image, parts
         assert back == img, split
     for single, split in zip(results["single"], results["split"]):
         assert single.tobytes() == split.tobytes()
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    module = importlib.import_module("modscramble.scramble")
+    monkeypatch.delattr(module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(module.os, "cpu_count", lambda: None)
+    assert module._usable_cpus() == 1
+    monkeypatch.setattr(module.os, "cpu_count", lambda: 6)
+    assert module._usable_cpus() == 6
 
 
 def test_an_exception_in_a_worker_part_reaches_the_caller(monkeypatch):
