@@ -186,10 +186,15 @@ class EquivalenceReport:
         }
 
     def to_text(self) -> str:
-        lines = []
+        maps = sum(len(c) for c in self.classes)
+        lines = [f"{maps} maps, {len(self.classes)} classes at n={self.n}:"]
         for c in self.classes:
             mark = "AVOID (shared pattern)" if len(c) > 1 else "ok"
             lines.append(f"[{mark}] {', '.join(c)}")
+        lines += [
+            f"\n{len(self.flagged)} classes share a scrambling pattern (size > 1); avoid reusing",
+            "members of one class as if they were independent keys.",
+        ]
         return "\n".join(lines)
 
 

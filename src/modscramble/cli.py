@@ -1,5 +1,5 @@
 """Command-line surface: scramble/unscramble PNM files, periods, surveys,
-unimodular enumeration and attack experiments.
+unimodular enumeration, pattern-equivalence classes and attack experiments.
 
 Exit codes: 0 success, 1 usage error (including an argument the library
 refuses, such as a modulus below 2), 2 data/format error, 3 math error
@@ -42,7 +42,7 @@ def _build_parser() -> _Parser:
     p.add_argument("key")
     p.add_argument("output")
     p.add_argument("--verbose", action="store_true",
-                   help="report the chosen route and both route costs")
+                   help="report the period, both route costs and the cheaper route")
 
     p = sub.add_parser("period", help="period of a map mod N")
     p.add_argument("--key", help="read the map from a JSON key file")
@@ -66,6 +66,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--list", action="store_true", help="also print every matrix")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("equivalence", help="which standard maps share a scrambling pattern mod N")
+    p.add_argument("--n", type=int, default=3, help="modulus (grid side), 2..2^32")
+    p.add_argument("--range", default="1..8", dest="param_range", metavar="LO..HI",
+                   help="family parameter range (default 1..8)")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("attack", help="scramble, attack, unscramble, report recovery metrics")
@@ -140,7 +146,7 @@ def _cmd_unscramble(args) -> int:
         plan = plan_unscramble(key.validated(), key.iterations)
         print(
             f"period {plan.period}: forward route {plan.forward_steps} steps, "
-            f"inverse route {plan.inverse_steps} steps; using {plan.chosen}",
+            f"inverse route {plan.inverse_steps} steps; cheaper route: {plan.chosen}",
             file=sys.stderr,
         )
     pnm.save_pnm(args.output, plain)
@@ -171,7 +177,7 @@ def _parse_range(text: str) -> range:
 
 
 def _print_report(report, fmt: str) -> None:
-    """A survey, enumeration or recovery report on stdout, as JSON or as its text."""
+    """A report on stdout, as JSON or as its text."""
     print(analysis.dumps_report(report.to_json_dict()) if fmt == "json" else report.to_text())
 
 
@@ -188,6 +194,13 @@ def _cmd_survey(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     _print_report(analysis.enumerate_unimodular(args.lo, args.hi, collect=args.list), args.format)
+    return 0
+
+
+def _cmd_equivalence(args) -> int:
+    params = _parse_range(args.param_range)
+    maps = analysis.standard_family_maps(params[0], params[-1])
+    _print_report(analysis.cyclic_classes(maps, args.n), args.format)
     return 0
 
 
@@ -223,6 +236,7 @@ _COMMANDS = {
     "period": _cmd_period,
     "survey": _cmd_survey,
     "enumerate": _cmd_enumerate,
+    "equivalence": _cmd_equivalence,
     "attack": _cmd_attack,
 }
 

@@ -141,7 +141,10 @@ def test_equivalence_classes_report(reference_a):
     assert any("GFT_1" in c for c in flagged)
     doc = report.to_json_dict()
     assert {c["flagged"] for c in doc["classes"]} == {True, False}
+    text = report.to_text().splitlines()
+    assert text[0] == f"{len(maps)} maps, {len(report.classes)} classes at n=3:"
     assert "AVOID" in report.to_text()
+    assert text[-2].startswith(f"{len(flagged)} classes share a scrambling pattern")
 
 
 # ------------------------------------- algebraic equivalence (distinct pixels)

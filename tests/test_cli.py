@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -7,15 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modscramble import (CompressSurrogate, Crop, GaussianNoise, SaltPepper, ScrambleKey, Speckle,
-                         build_map, make_arnold, make_flt)
+                         build_map, equivalence_classes, make_arnold, make_flt,
+                         standard_family_maps)
 from modscramble import SequenceFamily as F
-from modscramble.analysis import UNIMODULAR_REFERENCE_COUNT_0_99
+from modscramble.analysis import UNIMODULAR_REFERENCE_COUNT_0_99, dumps_report
 from modscramble.attacks import spec_to_dict
 from modscramble.cli import main
 from modscramble.keyfile import write_key_file
 from modscramble.pnm import load_pnm, save_pnm, write_pnm
 
-from conftest import random_gray, random_rgb
+from conftest import distinct_rgb, random_gray, random_rgb
 
 
 @pytest.fixture
@@ -68,7 +70,8 @@ def test_unscramble_verbose_reports_both_route_costs(tmp_path, capsys):
     assert rc == 0
     out, err = capsys.readouterr()
     assert out == ""
-    assert "108" in err and "20" in err and "inverse" in err
+    assert err == ("period 128: forward route 108 steps, inverse route 20 steps; "
+                   "cheaper route: inverse\n")
     assert load_pnm(tmp_path / "b.pgm") == img
 
 
@@ -399,6 +402,46 @@ def test_missing_input_file_is_a_data_error(workspace):
                  str(workspace / "x.pgm")]) == 2
 
 
+@pytest.mark.parametrize(
+    "args,code,message",
+    [
+        (["--range", "abc"], 1, "--range must look like LO..HI, got 'abc'"),
+        (["--range", "1..200"], 3, "term 91 of FIB32 exceeds the 64-bit signed range; "
+                                   "largest representable index for FIB32 is 90"),
+        (["--range", "5..1"], 1, "--range is empty: LO > HI in '5..1'"),
+        (["--range", "0..3"], 1, "i must be >= 1, got 0"),
+        (["--n", "1"], 1, "modulus must be >= 2, got 1"),
+        (["--n", "4294967297"], 3, "modulus 4294967297 is above the period bound of 4294967296"),
+    ],
+    ids=["not-integers", "overflow", "empty", "below-one", "n-below-two", "n-above-bound"],
+)
+def test_equivalence_refuses_bad_arguments(capsys, args, code, message):
+    assert main(["equivalence", *args]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_equivalence_text_at_n3_is_the_published_report(capsys):
+    assert main(["equivalence"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("5bc380fd5a42e845")
+    lines = out.splitlines()
+    assert lines[0] == "50 maps, 19 classes at n=3:"
+    assert lines[-2:] == ["13 classes share a scrambling pattern (size > 1); avoid reusing",
+                          "members of one class as if they were independent keys."]
+
+
+def test_equivalence_takes_sides_past_24_bit_pixels(capsys):
+    assert main(["equivalence", "--n", "5000", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["classes"]) == 49
+
+
+@pytest.mark.parametrize("n", [3, 1024])
+def test_equivalence_matches_the_reference_path(capsys, n):
+    assert main(["equivalence", "--n", str(n), "--format", "json"]) == 0
+    report = equivalence_classes(standard_family_maps(1, 8), distinct_rgb(n), n)
+    assert capsys.readouterr().out == dumps_report(report.to_json_dict()) + "\n"
+
+
 def test_unknown_subcommand_is_a_usage_error():
     assert main(["paint"]) == 1
 
@@ -439,7 +482,10 @@ _LIST4 = st.lists(st.integers(-3, 12) | st.sampled_from([2**64, -2**64]), min_si
 #: Per subcommand: the arguments always given (strategies, in order) and the
 #: optional flags with their values (None for a flag that takes none). A
 #: survey's modulus stays small or above the period bound: a survey of
-#: hundreds of cells at a modulus near 2**32 takes seconds.
+#: hundreds of cells at a modulus near 2**32 takes seconds. The equivalence
+#: modulus is never _NEAR_BOUND, where the classes of the 50 standard maps
+#: take about 20 s.
+_NEAR_BOUND = "4294967291"
 _COMMANDS = {
     "scramble": ([_IMAGE, _KEY, _OUT], {}),
     "unscramble": ([_IMAGE, _KEY, _OUT], {"--verbose": None}),
@@ -449,6 +495,8 @@ _COMMANDS = {
                 st.integers(-3, 4096).map(str) | _HOSTILE], {"--format": _FORMAT}),
     "enumerate": ([st.just("--lo"), _SMALL.map(str) | _HOSTILE, st.just("--hi"),
                    _SMALL.map(str) | _HOSTILE], {"--list": None, "--format": _FORMAT}),
+    "equivalence": ([], {"--n": _INT.filter(lambda v: v != _NEAR_BOUND), "--range": _RANGE,
+                         "--format": _FORMAT}),
     "attack": ([_IMAGE, _KEY, st.just("--attack"),
                 st.sampled_from(["salt-pepper", "gaussian", "speckle", "crop", "compress"])],
                {"--density": _FLOAT, "--mean": _FLOAT, "--variance": _FLOAT, "--rect": _LIST4,
@@ -465,8 +513,10 @@ def _argv(draw):
     for flag, value in flags.items():
         if draw(st.booleans()):
             argv += [flag] if value is None else [flag, draw(value)]
-    return argv + draw(st.lists(_HOSTILE | st.sampled_from(["--n", "--format", "--list", "-"]),
-                                max_size=2))
+    extras = st.lists(_HOSTILE | st.sampled_from(["--n", "--format", "--list", "-"]), max_size=2)
+    if command == "equivalence":
+        extras = extras.filter(lambda xs: xs != ["--n", _NEAR_BOUND])
+    return argv + draw(extras)
 
 
 @pytest.fixture(scope="module")

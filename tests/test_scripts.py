@@ -1,15 +1,14 @@
+import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from modscramble import equivalence_classes, standard_family_maps
-from modscramble.analysis import dumps_report
-
-from conftest import distinct_rgb
+from modscramble import CompressSurrogate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,38 +27,6 @@ def assert_usage_error(run, message):
     errors = [line for line in run.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0], run.stderr
     assert "Traceback" not in run.stderr
-
-
-@pytest.mark.parametrize(
-    "params,message",
-    [
-        ("abc", "--params must look like LO..HI"),
-        ("1..200", "the largest valid index is 89"),
-        ("5..1", "is empty: LO > HI"),
-        ("0..3", "LO must be >= 1"),
-    ],
-    ids=["not-integers", "overflow", "empty", "below-one"],
-)
-def test_equivalence_report_rejects_bad_params(params, message):
-    assert_usage_error(run_script("run_equivalence_report.py", "--params", params), message)
-
-
-def test_equivalence_report_takes_sides_past_24_bit_pixels():
-    run = run_script("run_equivalence_report.py", "--n", "5000", "--format", "json")
-    assert run.returncode == 0, run.stderr
-    assert len(json.loads(run.stdout)["classes"]) == 49
-
-
-def test_equivalence_report_refuses_moduli_above_the_period_bound():
-    run = run_script("run_equivalence_report.py", "--n", "4294967297")
-    assert_usage_error(run, "--n must be between 2 and 4294967296")
-
-
-@pytest.mark.parametrize("n", [3, 1024])
-def test_equivalence_report_matches_the_reference_path(n):
-    run = run_script("run_equivalence_report.py", "--n", str(n), "--format", "json")
-    report = equivalence_classes(standard_family_maps(1, 8), distinct_rgb(n), n)
-    assert run.stdout == dumps_report(report.to_json_dict()) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -91,6 +58,63 @@ def test_robustness_script_rejects_bad_arguments(args, message, tmp_path):
     out = tmp_path / "out"
     assert_usage_error(run_script("run_robustness.py", *args, "--out", str(out)), message)
     assert not out.exists()
+
+
+def load_main(name):
+    """The script's main, run in-process; its globals may be patched before the call."""
+    return runpy.run_path(str(ROOT / "scripts" / name), run_name="scripts")["main"]
+
+
+def test_survey_script_matches_every_golden_row():
+    run = run_script("run_survey.py")
+    assert run.returncode == 0, run.stderr
+    assert [line for line in run.stdout.splitlines() if line.endswith(": ok")] == [
+        f"  {fam}: ok" for fam in ("gft", "gat", "f11lt", "f32lt", "f31lt")
+    ]
+    assert run.stderr == ""
+
+
+def test_survey_script_exits_1_when_a_golden_row_differs(monkeypatch, capsys):
+    main = load_main("run_survey.py")
+    golden = dict(main.__globals__["SURVEY_REFERENCE_128"])
+    golden["gat"] = (0,) + golden["gat"][1:]
+    monkeypatch.setitem(main.__globals__, "SURVEY_REFERENCE_128", golden)
+    monkeypatch.setattr(sys, "argv", ["run_survey.py"])
+    assert main() == 1
+    out, err = capsys.readouterr()
+    assert "  gat: DIFFERS from golden row" in out.splitlines()
+    assert out.count("DIFFERS") == 1
+    assert err == "survey rows DIFFER from golden: gat\n"
+
+
+def test_robustness_script_writes_every_report(tmp_path):
+    out = tmp_path / "out"
+    run = run_script("run_robustness.py", "--n", "16", "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary) == 9
+    assert all(doc["mse_on_scrambled"] == doc["mse_on_recovered"] for doc in summary.values())
+    assert run.stderr == ""
+
+
+def test_robustness_script_exits_1_when_an_isometry_breaks(monkeypatch, capsys, tmp_path):
+    main = load_main("run_robustness.py")
+    experiment = main.__globals__["recovery_experiment"]
+
+    def skewed(img, key, spec):
+        report = experiment(img, key, spec)
+        if spec == CompressSurrogate(8):
+            return dataclasses.replace(report, mse_on_recovered=report.mse_on_recovered + 1.0)
+        return report
+
+    monkeypatch.setitem(main.__globals__, "recovery_experiment", skewed)
+    monkeypatch.setattr(sys, "argv", ["run_robustness.py", "--n", "16", "--out", str(tmp_path)])
+    assert main() == 1
+    out, err = capsys.readouterr()
+    [row] = [line for line in out.splitlines() if line.startswith("compress_q8")]
+    assert row.endswith("isometry BROKEN")
+    assert out.count("isometry BROKEN") == 1
+    assert err == "isometry BROKEN for: compress_q8\n"
 
 
 def test_readme_library_block_prints_its_comment(capsys):
