@@ -20,10 +20,9 @@ from modscramble import (
     Crop,
     GaussianNoise,
     ImageGrid,
-    KeyFormatError,
+    ModScrambleError,
     SaltPepper,
     ScrambleKey,
-    SequenceOverflowError,
     Speckle,
     build_map,
     recovery_experiment,
@@ -64,14 +63,11 @@ def main():
     parser.add_argument("--index", type=int, default=6)
     parser.add_argument("--out", default="robustness_out")
     args = parser.parse_args()
-    if args.n < 2:
-        parser.error(f"--n must be >= 2, got {args.n}")
-    if args.iterations < 0:
-        parser.error(f"--iterations must be >= 0, got {args.iterations}")
     try:
         key = ScrambleKey(build_map(args.family, {"i": args.index}), args.n, args.iterations)
-    except (KeyFormatError, SequenceOverflowError) as exc:
-        parser.error(f"--index {args.index}: {exc}")
+        key.validated()
+    except (ValueError, ModScrambleError) as exc:
+        parser.error(str(exc))
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

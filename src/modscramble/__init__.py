@@ -8,6 +8,7 @@ from .errors import (
     KeyFormatError,
     MathError,
     ModScrambleError,
+    ParameterOverflowError,
     PnmFormatError,
     SequenceOverflowError,
     WorkBoundError,

@@ -128,7 +128,11 @@ class EnumerationReport:
 
 @dataclass(frozen=True)
 class SurveyReport:
-    """One row per family, one period per parameter value; errors stay in-cell."""
+    """One row per family, one period per parameter value; errors stay in-cell.
+
+    A survey at N = 128 over parameters 1..16 also compares each row that has
+    a published reference (SURVEY_REFERENCE_128) with it.
+    """
 
     n: int
     params: tuple[int, ...]
@@ -140,19 +144,27 @@ class SurveyReport:
             1 for _, cells in self.rows for c in cells if not isinstance(c, int)
         )
 
+    @property
+    def reference_rows(self) -> dict[str, tuple[int, ...]]:
+        """Published rows by family when this is the reference survey (N = 128,
+        parameters 1..16); empty for any other survey."""
+        is_reference = self.n == 128 and self.params == tuple(range(1, 17))
+        return SURVEY_REFERENCE_128 if is_reference else {}
+
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "params": list(self.params),
-            "rows": [
-                {
-                    "family": fam,
-                    "periods": [c if isinstance(c, int) else None for c in cells],
-                    "errors": [c if not isinstance(c, int) else None for c in cells],
-                }
-                for fam, cells in self.rows
-            ],
-        }
+        reference = self.reference_rows
+        rows = []
+        for fam, cells in self.rows:
+            row = {
+                "family": fam,
+                "periods": [c if isinstance(c, int) else None for c in cells],
+                "errors": [c if not isinstance(c, int) else None for c in cells],
+            }
+            if fam in reference:
+                row["reference_periods"] = list(reference[fam])
+                row["matches_reference"] = cells == reference[fam]
+            rows.append(row)
+        return {"n": self.n, "params": list(self.params), "rows": rows}
 
     def to_text(self) -> str:
         head = ["family"] + [str(p) for p in self.params]
@@ -161,9 +173,13 @@ class SurveyReport:
             for fam, cells in self.rows
         ]
         widths = [max(len(r[i]) for r in table) for i in range(len(head))]
-        return "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table
-        )
+        lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table]
+        reference = self.reference_rows
+        for fam, cells in self.rows:
+            if fam in reference:
+                verdict = "matches" if cells == reference[fam] else "DIFFERS FROM"
+                lines.append(f"{fam}: computed row {verdict} the reference")
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

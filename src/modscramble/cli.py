@@ -9,6 +9,7 @@ Results go to stdout, diagnostics to stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -28,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built on the first main call, then reused: parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="modscramble", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -54,9 +54,26 @@ class SequenceOverflowError(IntegerOverflowError):
         self.family_name = family_name
         self.n = n
         self.max_index = max_index
-        super().__init__(
-            f"term {n} of {family_name} exceeds the 64-bit signed range; "
-            f"largest representable index for {family_name} is {max_index}"
+        super().__init__(self._message())
+
+    def _message(self) -> str:
+        return (
+            f"term {self.n} of {self.family_name} exceeds the 64-bit signed range; "
+            f"largest representable index for {self.family_name} is {self.max_index}"
+        )
+
+
+class ParameterOverflowError(SequenceOverflowError):
+    """A map parameter i needs a sequence term past 64 bits.
+
+    Carries the family tag, i as ``n``, and as ``max_index`` the largest i
+    the family accepts.
+    """
+
+    def _message(self) -> str:
+        return (
+            f"{self.family_name} i = {self.n}: a term exceeds the 64-bit signed range; "
+            f"largest accepted i for {self.family_name} is {self.max_index}"
         )
 
 

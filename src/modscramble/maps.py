@@ -22,8 +22,14 @@ triangular, parameter k, variants 0..3::
 import math
 from dataclasses import dataclass, field
 
-from .errors import IntegerOverflowError, InvalidScramblerError, KeyFormatError, clip
-from .sequences import FLT_SERIES, INT64_MAX, SequenceFamily, term
+from .errors import (
+    IntegerOverflowError,
+    InvalidScramblerError,
+    KeyFormatError,
+    ParameterOverflowError,
+    clip,
+)
+from .sequences import FLT_SERIES, INT64_MAX, SequenceFamily, max_index, term
 
 Entries = tuple[int, int, int, int]
 
@@ -100,6 +106,8 @@ def make_gft(i: int) -> TransformMap:
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
     f = SequenceFamily.FIB01
+    if i > max_index(f) - 3:
+        raise ParameterOverflowError("gft", i, max_index(f) - 3)
     entries = (term(f, i), term(f, i + 1), term(f, i + 2), term(f, i + 3))
     return TransformMap(entries, "gft", {"i": i}, f"GFT_{i}")
 
@@ -124,11 +132,14 @@ def make_flt(series: SequenceFamily, i: int) -> TransformMap:
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
     lucas = SequenceFamily.LUCAS
+    tag, stem = _FLT[series]
+    largest = min(max_index(series), max_index(lucas)) - 1
+    if i > largest:
+        raise ParameterOverflowError(tag, i, largest)
     entries = (term(series, i), term(series, i + 1), term(lucas, i), term(lucas, i + 1))
     warning = None
     if series is SequenceFamily.FIB11 and i == 3:
         warning = "index 3 of the 1,1-seeded series is excluded by convention"
-    tag, stem = _FLT[series]
     return TransformMap(entries, tag, {"i": i}, f"{stem}_{i}", warning)
 
 

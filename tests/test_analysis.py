@@ -534,6 +534,26 @@ def test_survey_records_family_terms_past_64_bits_in_their_cells():
                 assert type(cell) is int and cell == period(validate(build(p), 128))
 
 
+def test_survey_report_compares_only_the_published_rows():
+    reference = analysis.SURVEY_REFERENCE_128
+    gat = reference["gat"]
+    rows = (("gat", (0,) + gat[1:]), ("gft", reference["gft"]), ("triangular", gat))
+    report = analysis.SurveyReport(128, tuple(range(1, 17)), rows)
+    assert report.reference_rows is reference
+    assert report.to_text().splitlines()[4:] == [
+        "gat: computed row DIFFERS FROM the reference",
+        "gft: computed row matches the reference",
+    ]
+    gat_row, gft_row, triangular_row = report.to_json_dict()["rows"]
+    assert gat_row["matches_reference"] is False and gat_row["reference_periods"] == list(gat)
+    assert gft_row["matches_reference"] is True
+    assert "matches_reference" not in triangular_row
+    for n, params in ((127, tuple(range(1, 17))), (128, tuple(range(2, 18)))):
+        other = analysis.SurveyReport(n, params, rows)
+        assert other.reference_rows == {}
+        assert len(other.to_text().splitlines()) == 4
+
+
 def test_survey_text_and_json_renderings():
     report = period_survey(["gft", "f31lt"], range(1, 5), 16)
     text = report.to_text()

@@ -2,6 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +15,7 @@ from modscramble import (CompressSurrogate, Crop, GaussianNoise, SaltPepper, Scr
                          build_map, equivalence_classes, make_arnold, make_flt,
                          standard_family_maps)
 from modscramble import SequenceFamily as F
+from modscramble import analysis, cli
 from modscramble.analysis import UNIMODULAR_REFERENCE_COUNT_0_99, dumps_report
 from modscramble.attacks import spec_to_dict
 from modscramble.cli import main
@@ -196,14 +201,64 @@ def test_invalid_map_is_a_math_error(workspace, capsys):
     assert "not invertible" in capsys.readouterr().err
 
 
+REFERENCE_SURVEY = ["survey", "--families", "gft,gat,f11lt,f32lt,f31lt", "--range", "1..16",
+                    "--n", "128"]
+
+
 def test_survey_table_output(capsys):
-    rc = main(["survey", "--families", "gft,gat,f11lt,f32lt,f31lt", "--range", "1..16", "--n", "128"])
+    rc = main(REFERENCE_SURVEY)
     assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    lines = capsys.readouterr().out.splitlines()[:6]  # the header and five family rows
     assert lines[0].split() == ["family"] + [str(i) for i in range(1, 17)]
     rows = {ln.split()[0]: [int(v) for v in ln.split()[1:]] for ln in lines[1:]}
     assert rows["gat"] == [128, 192, 64, 192, 128, 192, 32, 192, 128, 192, 64, 192, 128, 192, 16, 192]
     assert rows["f31lt"] == [64, 64, 32, 64, 64, 8, 64, 64, 32, 64, 64, 4, 64, 64, 32, 64]
+
+
+def test_survey_128_states_every_golden_row(capsys):
+    assert main(REFERENCE_SURVEY) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[6:] == [
+        f"{fam}: computed row matches the reference" for fam in analysis.SURVEY_REFERENCE_128
+    ]
+    assert captured.err == ""
+    assert main(REFERENCE_SURVEY + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    for row in rows:
+        assert row["matches_reference"] is True
+        assert row["reference_periods"] == row["periods"]
+        assert row["reference_periods"] == list(analysis.SURVEY_REFERENCE_128[row["family"]])
+
+
+def test_survey_128_names_a_differing_golden_row_and_exits_0(capsys, monkeypatch):
+    golden = analysis.SURVEY_REFERENCE_128["gat"]
+    monkeypatch.setitem(analysis.SURVEY_REFERENCE_128, "gat", (0,) + golden[1:])
+    assert main(REFERENCE_SURVEY) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "DIFFERS" in line] == [
+        "gat: computed row DIFFERS FROM the reference"
+    ]
+    assert out.count("matches the reference") == 4
+    assert main(REFERENCE_SURVEY + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["family"] for row in rows if not row["matches_reference"]] == ["gat"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--families", "gft,gat,f11lt,f32lt,f31lt", "--range", "1..16", "--n", "127"],
+        ["--families", "gft,gat,f11lt,f32lt,f31lt", "--range", "1..15", "--n", "128"],
+        ["--families", "triangular", "--range", "1..16", "--n", "128"],
+    ],
+    ids=["n-127", "range-1-15", "triangular"],
+)
+def test_survey_off_the_published_table_states_no_reference(capsys, argv):
+    assert main(["survey", *argv]) == 0
+    assert "reference" not in capsys.readouterr().out
+    assert main(["survey", *argv, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(set(row) == {"family", "periods", "errors"} for row in rows)
 
 
 def test_survey_json_output(capsys):
@@ -227,7 +282,6 @@ def test_survey_above_the_cell_bound_exits_3(capsys, hi):
 
 
 def test_survey_cell_errors_keep_exit_zero(capsys, monkeypatch):
-    from modscramble import analysis
     from modscramble.errors import InvalidScramblerError
 
     real = analysis.period
@@ -406,14 +460,17 @@ def test_missing_input_file_is_a_data_error(workspace):
     "args,code,message",
     [
         (["--range", "abc"], 1, "--range must look like LO..HI, got 'abc'"),
-        (["--range", "1..200"], 3, "term 91 of FIB32 exceeds the 64-bit signed range; "
-                                   "largest representable index for FIB32 is 90"),
+        (["--range", "1..200"], 3, "f32lt i = 90: a term exceeds the 64-bit signed range; "
+                                   "largest accepted i for f32lt is 89"),
+        (["--range", "90..90"], 3, "f32lt i = 90: a term exceeds the 64-bit signed range; "
+                                   "largest accepted i for f32lt is 89"),
         (["--range", "5..1"], 1, "--range is empty: LO > HI in '5..1'"),
         (["--range", "0..3"], 1, "i must be >= 1, got 0"),
         (["--n", "1"], 1, "modulus must be >= 2, got 1"),
         (["--n", "4294967297"], 3, "modulus 4294967297 is above the period bound of 4294967296"),
     ],
-    ids=["not-integers", "overflow", "empty", "below-one", "n-below-two", "n-above-bound"],
+    ids=["not-integers", "overflow", "overflow-at-90", "empty", "below-one", "n-below-two",
+         "n-above-bound"],
 )
 def test_equivalence_refuses_bad_arguments(capsys, args, code, message):
     assert main(["equivalence", *args]) == code
@@ -440,6 +497,34 @@ def test_equivalence_matches_the_reference_path(capsys, n):
     assert main(["equivalence", "--n", str(n), "--format", "json"]) == 0
     report = equivalence_classes(standard_family_maps(1, 8), distinct_rgb(n), n)
     assert capsys.readouterr().out == dumps_report(report.to_json_dict()) + "\n"
+
+
+@pytest.mark.parametrize("family,i,largest", [("f32lt", 90, 89), ("gft", 91, 90)])
+def test_period_overflow_names_the_parameter_given(capsys, family, i, largest):
+    assert main(["period", "--family", family, "--i", str(i), "--n", "7"]) == 3
+    assert _one_error_line(capsys) == (
+        f"error: {family} i = {i}: a term exceeds the 64-bit signed range; "
+        f"largest accepted i for {family} is {largest}\n"
+    )
+    assert main(["period", "--family", family, "--i", str(largest), "--n", "7"]) == 0
+
+
+def test_the_parser_is_built_once_and_each_call_runs_as_in_a_fresh_process(capsys):
+    calls = [
+        ["period", "--n", "x"],  # a usage error first
+        ["period", "--family", "arnold", "--n", "128"],
+        ["survey", "--families", "gft", "--range", "1..4", "--n", "8"],
+        ["enumerate", "--lo", "0", "--hi", "1", "--format", "json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    fresh = [subprocess.run([sys.executable, "-m", "modscramble.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=60) for argv in calls]
+    cli._build_parser.cache_clear()
+    for argv, run in zip(calls, fresh):
+        assert main(argv) == run.returncode
+        assert capsys.readouterr() == (run.stdout, run.stderr)
+    assert fresh[0].returncode == 1 and fresh[1].stdout == "arnold mod 128: period 96\n"
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_unknown_subcommand_is_a_usage_error():

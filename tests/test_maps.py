@@ -9,7 +9,9 @@ from modscramble import (
     IntegerOverflowError,
     InvalidScramblerError,
     KeyFormatError,
+    ParameterOverflowError,
     SequenceFamily,
+    SequenceOverflowError,
     build_map,
     determinant,
     inverse_mod,
@@ -124,6 +126,27 @@ def test_flt_series_restricted_to_seeded_fibonacci_variants():
         make_flt(F.FIB01, 1)
     with pytest.raises(ValueError, match="i must be >= 1"):
         make_flt(F.FIB11, 0)
+
+
+@pytest.mark.parametrize(
+    "tag,build,largest",
+    [
+        ("gft", make_gft, 90),  # term i + 3 of FIB01; its last 64-bit term is 93
+        ("f11lt", lambda i: make_flt(F.FIB11, i), 90),  # term i + 1 of LUCAS; last is 91
+        ("f32lt", lambda i: make_flt(F.FIB32, i), 89),  # term i + 1 of FIB32; last is 90
+        ("f31lt", lambda i: make_flt(F.FIB31, i), 90),  # FIB31 and LUCAS both end at 91
+    ],
+)
+def test_a_parameter_past_64_bit_terms_is_refused_by_name(tag, build, largest):
+    assert validate(build(largest), 128).map.params == {"i": largest}
+    with pytest.raises(ParameterOverflowError) as err:
+        build(largest + 1)
+    assert isinstance(err.value, SequenceOverflowError)
+    assert err.value.max_index == largest
+    assert str(err.value) == (
+        f"{tag} i = {largest + 1}: a term exceeds the 64-bit signed range; "
+        f"largest accepted i for {tag} is {largest}"
+    )
 
 
 def test_flt_index_3_carries_a_warning_not_an_error():
