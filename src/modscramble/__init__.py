@@ -61,6 +61,7 @@ from .attacks import (
     Crop,
     GaussianNoise,
     RecoveryReport,
+    RobustnessReport,
     SaltPepper,
     Speckle,
     apply_attack,
@@ -68,6 +69,7 @@ from .attacks import (
     mse,
     psnr,
     recovery_experiment,
+    robustness_attacks,
 )
 
 __version__ = "0.1.0"

@@ -320,3 +320,53 @@ def recovery_experiment(img: ImageGrid, key: ScrambleKey, spec: AttackSpec) -> R
         attacked=attacked,
         recovered=recovered,
     )
+
+
+def robustness_attacks(n: int) -> tuple[tuple[str, AttackSpec], ...]:
+    """The robustness grid for an n x n image: nine named attacks, each seeded
+    where it is stochastic; the crop blanks the centred n/2 square."""
+    q = n // 2
+    return (
+        ("salt_pepper_5pct", SaltPepper(0.05, seed=1)),
+        ("salt_pepper_20pct", SaltPepper(0.20, seed=2)),
+        ("gaussian_var100", GaussianNoise(0.0, 100.0, seed=3)),
+        ("speckle_var05", Speckle(0.05, seed=4)),
+        ("crop_quarter", Crop(n // 4, n // 4, q, q, fill=0)),
+        ("compress_q10", CompressSurrogate(10)),
+        ("compress_q8", CompressSurrogate(8)),
+        ("compress_q6", CompressSurrogate(6)),
+        ("compress_q4", CompressSurrogate(4)),
+    )
+
+
+@dataclass(frozen=True)
+class RobustnessReport:
+    """The metrics of each named attack (RecoveryReport.to_json_dict(), no
+    images), and the verdict: does MSE(scrambled, attacked) equal
+    MSE(original, recovered) for every attack?"""
+
+    rows: tuple[tuple[str, dict], ...]
+
+    @property
+    def broken(self) -> list[str]:
+        """Names of the attacks whose two MSEs differ."""
+        return [name for name, doc in self.rows
+                if doc["mse_on_scrambled"] != doc["mse_on_recovered"]]
+
+    def to_json_dict(self) -> dict:
+        return dict(self.rows)
+
+    def to_text(self) -> str:
+        broken = self.broken
+        lines = []
+        for name, doc in self.rows:
+            psnr = doc["psnr_recovered_db"]
+            psnr_text = "lossless" if psnr is None else f"{psnr:.2f} dB"
+            iso = "BROKEN" if name in broken else "exact"
+            lines.append(f"{name:18s} mse {doc['mse_on_recovered']:10.3f}  "
+                         f"psnr {psnr_text:>10s}  isometry {iso}")
+        if broken:
+            lines.append(f"isometry BROKEN for: {', '.join(broken)}")
+        else:
+            lines.append(f"isometry exact for all {len(self.rows)} attacks")
+        return "\n".join(lines)

@@ -1,5 +1,6 @@
 """Command-line surface: scramble/unscramble PNM files, periods, surveys,
-unimodular enumeration, pattern-equivalence classes and attack experiments.
+unimodular enumeration, pattern-equivalence classes, attack experiments and
+the robustness grid.
 
 Exit codes: 0 success, 1 usage error (including an argument the library
 refuses, such as a modulus below 2), 2 data/format error, 3 math error
@@ -11,6 +12,7 @@ Results go to stdout, diagnostics to stderr.
 import argparse
 import functools
 import json
+import pathlib
 import sys
 from dataclasses import fields
 
@@ -93,6 +95,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--attacked-out", help="write the attacked scrambled image here")
     p.add_argument("--recovered-out", help="write the recovered image here")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("robustness", help="run every attack of the robustness grid, "
+                                          "report the damage isometry")
+    p.add_argument("input")
+    p.add_argument("key")
+    p.add_argument("--out", required=True, help="directory for the attacked and recovered images")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     return parser
@@ -232,6 +241,22 @@ def _cmd_attack(args) -> int:
     return 0
 
 
+def _cmd_robustness(args) -> int:
+    key = keyfile.read_key_file(args.key)
+    img = pnm.load_pnm(args.input)
+    out = pathlib.Path(args.out)
+    suffix = ".pgm" if img.channels == 1 else ".ppm"
+    rows = []
+    for name, spec in attacks.robustness_attacks(img.side):
+        report = attacks.recovery_experiment(img, key, spec)
+        out.mkdir(parents=True, exist_ok=True)  # after an attack ran, so a bad key writes nothing
+        pnm.save_pnm(out / f"{name}_attacked{suffix}", report.attacked)
+        pnm.save_pnm(out / f"{name}_recovered{suffix}", report.recovered)
+        rows.append((name, report.to_json_dict()))
+    _print_report(attacks.RobustnessReport(tuple(rows)), args.format)
+    return 0
+
+
 _COMMANDS = {
     "scramble": _cmd_scramble,
     "unscramble": _cmd_unscramble,
@@ -240,6 +265,7 @@ _COMMANDS = {
     "enumerate": _cmd_enumerate,
     "equivalence": _cmd_equivalence,
     "attack": _cmd_attack,
+    "robustness": _cmd_robustness,
 }
 
 

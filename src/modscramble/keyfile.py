@@ -20,6 +20,10 @@ from .scramble import ScrambleKey
 
 KEY_VERSION = 1
 
+#: Longest key file read, in characters. A key whose six integers sit at
+#: Python's 4300-digit conversion limit is about 26 KB.
+KEY_FILE_MAX_CHARS = 1 << 20
+
 _FIELDS = {"version", "family", "params", "n", "iterations"}
 
 
@@ -76,9 +80,11 @@ def dumps_key(key: ScrambleKey) -> str:
 def read_key_file(path) -> ScrambleKey:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(KEY_FILE_MAX_CHARS + 1)
     except UnicodeDecodeError as exc:
         raise KeyFormatError(f"key file is not UTF-8 text: {exc}") from None
+    if len(text) > KEY_FILE_MAX_CHARS:
+        raise KeyFormatError(f"key file is longer than {KEY_FILE_MAX_CHARS} characters")
     return loads_key(text)
 
 

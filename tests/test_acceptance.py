@@ -15,6 +15,7 @@ never patched into agreement. Current documented discrepancies:
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -328,3 +329,13 @@ def test_criterion_10_robustness_invariants():
 
     ok = checked == 20
     _line(10, ok, "20 exact damage-isometry triples, lossless mid-pipeline, deterministic surrogate")
+
+
+def test_readme_library_block_prints_its_comment(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library in one minute", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    printed = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == 1
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == printed[0].rsplit("# ", 1)[1] + "\n"

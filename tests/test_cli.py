@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,11 +16,11 @@ from modscramble import (CompressSurrogate, Crop, GaussianNoise, SaltPepper, Scr
                          build_map, equivalence_classes, make_arnold, make_flt,
                          standard_family_maps)
 from modscramble import SequenceFamily as F
-from modscramble import analysis, cli
+from modscramble import analysis, attacks, cli
 from modscramble.analysis import UNIMODULAR_REFERENCE_COUNT_0_99, dumps_report
 from modscramble.attacks import spec_to_dict
 from modscramble.cli import main
-from modscramble.keyfile import write_key_file
+from modscramble.keyfile import KEY_FILE_MAX_CHARS, dumps_key, write_key_file
 from modscramble.pnm import load_pnm, save_pnm, write_pnm
 
 from conftest import distinct_rgb, random_gray, random_rgb
@@ -451,6 +452,105 @@ def test_attack_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+ROBUSTNESS_NAMES = ["salt_pepper_5pct", "salt_pepper_20pct", "gaussian_var100", "speckle_var05",
+                    "crop_quarter", "compress_q10", "compress_q8", "compress_q6", "compress_q4"]
+
+
+def _robustness_argv(tmp_path, img, n=None):
+    suffix = ".pgm" if img.channels == 1 else ".ppm"
+    save_pnm(tmp_path / f"img{suffix}", img)
+    write_key_file(tmp_path / "k.json", ScrambleKey(make_flt(F.FIB11, 6), n or img.side, 20))
+    return ["robustness", str(tmp_path / f"img{suffix}"), str(tmp_path / "k.json"),
+            "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("img", [random_gray(16, seed=8), random_rgb(16, seed=9)],
+                         ids=["gray", "rgb"])
+def test_robustness_writes_every_image_and_states_the_isometry(tmp_path, capsys, img):
+    argv = _robustness_argv(tmp_path, img)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split()[0] for line in lines[:9]] == ROBUSTNESS_NAMES
+    assert all(line.endswith("  isometry exact") for line in lines[:9])
+    assert lines[9:] == ["isometry exact for all 9 attacks"] and captured.err == ""
+    suffix = ".pgm" if img.channels == 1 else ".ppm"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        f"{name}_{side}{suffix}" for name in ROBUSTNESS_NAMES for side in ("attacked", "recovered"))
+
+    assert main(argv + ["--format", "json"]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    assert sorted(docs) == sorted(ROBUSTNESS_NAMES)
+    for name, doc in docs.items():
+        assert doc["mse_on_scrambled"] == doc["mse_on_recovered"]
+        recovered = load_pnm(tmp_path / "out" / f"{name}_recovered{suffix}")
+        assert attacks.mse(img, recovered) == doc["mse_on_recovered"]
+    assert docs["crop_quarter"]["attack"] == spec_to_dict(Crop(4, 4, 8, 8))
+
+
+def test_robustness_names_a_broken_isometry_and_exits_0(tmp_path, capsys, monkeypatch):
+    experiment = attacks.recovery_experiment
+
+    def skewed(img, key, spec):
+        report = experiment(img, key, spec)
+        if spec == CompressSurrogate(8):
+            return dataclasses.replace(report, mse_on_recovered=report.mse_on_recovered + 1.0)
+        return report
+
+    monkeypatch.setattr(attacks, "recovery_experiment", skewed)
+    assert main(_robustness_argv(tmp_path, random_gray(16, seed=8))) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if line.endswith("isometry BROKEN")] == ["compress_q8"]
+    assert sum(line.endswith("isometry exact") for line in lines) == 8
+    assert lines[-1] == "isometry BROKEN for: compress_q8"
+
+
+def test_robustness_refuses_a_key_of_another_side_and_writes_nothing(tmp_path, capsys):
+    assert main(_robustness_argv(tmp_path, random_gray(16, seed=8), n=17)) == 2
+    _one_error_line(capsys)
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, code, message",
+    [
+        ("n", 1, 2, "n must be an integer >= 2, got 1"),
+        ("params", {"i": 0}, 2, "bad parameters for family 'f11lt': i must be >= 1, got 0"),
+        ("params", {"i": 200}, 3, "f11lt i = 200: a term exceeds the 64-bit signed range; "
+                                  "largest accepted i for f11lt is 90"),
+        ("iterations", -1, 2, "iterations must be an integer >= 0, got -1"),
+    ],
+    ids=["n-below-two", "index-zero", "index-overflow", "iterations"],
+)
+def test_robustness_states_the_library_refusal_of_a_key(tmp_path, capsys, field, value, code,
+                                                         message):
+    argv = _robustness_argv(tmp_path, random_gray(16, seed=8))
+    doc = json.loads((tmp_path / "k.json").read_text())
+    (tmp_path / "k.json").write_text(json.dumps({**doc, field: value}))
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at-bound", "past-bound"])
+def test_a_key_file_past_the_size_bound_is_refused(tmp_path, capsys, extra, code):
+    text = dumps_key(ScrambleKey(make_arnold(), 3, 3))
+    path = tmp_path / "k.json"
+    path.write_text(text + " " * (KEY_FILE_MAX_CHARS - len(text) + extra))
+    assert main(["period", "--key", str(path)]) == code
+    if code:
+        assert "longer than 1048576 characters" in _one_error_line(capsys)
+    else:
+        assert capsys.readouterr().out == "arnold mod 3: period 4\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_key_file_is_refused(capsys):
+    assert main(["period", "--key", "/dev/zero"]) == 2
+    assert "longer than" in _one_error_line(capsys)
+
+
 def test_missing_input_file_is_a_data_error(workspace):
     assert main(["scramble", str(workspace / "missing.pgm"), str(workspace / "arnold3.json"),
                  str(workspace / "x.pgm")]) == 2
@@ -556,6 +656,7 @@ _FORMAT = st.sampled_from(["text", "table", "json"]) | _HOSTILE
 _IMAGE = st.sampled_from(["@gray.pgm", "@rgb.ppm", "@key8.json", "@missing.pgm", ""])
 _KEY = st.sampled_from(["@key8.json", "@key9.json", "@gray.pgm", "@missing.json", ""])
 _OUT = st.sampled_from(["@out.pgm", "@out.json", "@", "@no/such/dir.pgm", ""])
+_DIR = st.sampled_from(["@grid", "@", "@gray.pgm", "@no/such/grid"])  # never "": the cwd
 _FAMILY = st.sampled_from(["raw", "arnold", "fq", "gat", "gft", "f11lt", "triangular"]) | _HOSTILE
 _FAMILIES = st.lists(st.sampled_from(["gft", "gat", "f11lt", "f32lt", "f31lt", "triangular", "arnold", ""]),
                      max_size=3).map(",".join) | _HOSTILE
@@ -587,6 +688,7 @@ _COMMANDS = {
                {"--density": _FLOAT, "--mean": _FLOAT, "--variance": _FLOAT, "--rect": _LIST4,
                 "--fill": _INT, "--quality": _INT, "--seed": _INT, "--report": _OUT,
                 "--attacked-out": _OUT, "--recovered-out": _OUT, "--format": _FORMAT}),
+    "robustness": ([_IMAGE, _KEY, st.just("--out"), _DIR], {"--format": _FORMAT}),
 }
 
 
@@ -621,6 +723,7 @@ def _reject_constant(name):
 @given(argv=_argv())
 @example(argv=["attack", "@gray.pgm", "@key8.json", "--attack", "gaussian", "--format", "json",
                "--attacked-out", "@no/such/dir.pgm"])  # a failed write after the experiment
+@example(argv=["robustness", "@rgb.ppm", "@key8.json", "--out", "@gray.pgm"])  # the same
 @settings(max_examples=150, deadline=None)
 def test_cli_argument_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
     argv = [str(fuzz_dir / a[1:]) if a.startswith("@") else a for a in argv]
