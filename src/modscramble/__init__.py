@@ -69,6 +69,7 @@ from .attacks import (
     mse,
     psnr,
     recovery_experiment,
+    recovery_grid,
     robustness_attacks,
 )
 

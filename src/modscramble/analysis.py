@@ -7,10 +7,11 @@ n. When its pixels at (1, 0) and (0, 1) each occur once, a state A^t *
 reference shows where those two pixels went, which are the columns of A^t
 mod n; the state set of a map A then stands for its cyclic group <A>
 without the identity, and equivalence is decided on 2x2 matrices: equal
-orders and membership by baby-step giant-step. cyclic_classes groups maps
-that way from the maps and n alone. Any other reference is scrambled
-through the orbit, state by state. Surveys and the unimodular
-enumeration are the desk-scale reproductions of the reference period tables.
+orders, commuting matrices and membership by baby-step giant-step.
+cyclic_classes groups maps that way from the maps and n alone. Any other
+reference is scrambled through the orbit, state by state. Surveys and the
+unimodular enumeration are the desk-scale reproductions of the reference
+period tables.
 """
 
 import itertools
@@ -260,15 +261,23 @@ class _CyclicGroup:
         return m, frozenset(baby), power_mod(vm, self.order - m)  # giant step A^(-m)
 
     def generated_by(self, vm: ValidatedMap, order: int) -> bool:
-        """<B> = <A> for the map B = vm of the given order: equal orders, and B in <A>."""
+        """<B> = <A> for the map B = vm of the given order: equal orders, AB = BA,
+        and B in <A>.
+
+        Every element of <A> commutes with A, so a B with AB != BA is refused
+        with two products, before the steps are built or walked.
+        """
         if order != self.order:
             return False
+        a, b, n = self.vm.reduced, vm.reduced, vm.n
+        if mat_mul_mod(a, b, n) != mat_mul_mod(b, a, n):
+            return False
         m, baby, giant = self._steps
-        x = vm.reduced
+        x = b
         for _ in range(m):
             if x in baby:
                 return True
-            x = mat_mul_mod(x, giant, vm.n)
+            x = mat_mul_mod(x, giant, n)
         return False
 
 
@@ -412,9 +421,9 @@ def cyclic_classes(maps: list[TransformMap], n: int) -> EquivalenceReport:
     """Group maps mod n by the cyclic group each generates; no image is needed.
 
     A map joins the first class whose representative generates the same
-    group, found by order and baby-step giant-step. Classes keep the order in
-    which their first member appears, and each class keeps its members in
-    input order. These are the classes equivalence_classes returns for any
+    group, found by order, commutation and baby-step giant-step. Classes keep
+    the order in which their first member appears, and each class keeps its
+    members in input order. These are the classes equivalence_classes returns for any
     reference whose pixels at (1, 0) and (0, 1) each occur once.
     """
     classes: list[tuple[_CyclicGroup, list[str]]] = []

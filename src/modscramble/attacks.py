@@ -12,7 +12,8 @@ is on the dimensionless multiplicative factor.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass, field
 from typing import get_args
 
 import numpy as np
@@ -25,7 +26,7 @@ from .scramble import ImageGrid, ScrambleKey, _flat, scramble, unscramble
 class SaltPepper:
     """Set ceil(density * N^2) distinct pixels to 0 or 255, equal probability."""
 
-    density: float
+    density: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -146,7 +147,7 @@ class CompressSurrogate:
     therefore quantizes with an all-ones table and only rounding loss remains.
     """
 
-    quality: int
+    quality: int = 50
 
     def __post_init__(self):
         if not 1 <= self.quality <= 100:
@@ -203,7 +204,7 @@ def _to_grid(arr: np.ndarray) -> ImageGrid:
     """Round and clamp a float array to bytes; arr is overwritten on the way."""
     np.rint(arr, out=arr)
     np.clip(arr, 0, 255, out=arr)
-    return ImageGrid._own(arr.astype(np.uint8))
+    return ImageGrid._own(arr.astype(np.uint8, order="C"))
 
 
 def _dct_matrix(size: int = 8) -> np.ndarray:
@@ -260,10 +261,7 @@ def changed_pixels(a: ImageGrid, b: ImageGrid) -> int:
 
 
 def spec_to_dict(spec: AttackSpec) -> dict:
-    d = {"kind": spec.kind}
-    for name in spec.__dataclass_fields__:
-        d[name] = getattr(spec, name)
-    return d
+    return {"kind": spec.kind, **asdict(spec)}
 
 
 @dataclass(frozen=True)
@@ -273,11 +271,14 @@ class RecoveryReport:
     attack: AttackSpec
     mse_on_scrambled: float
     mse_on_recovered: float
-    psnr_recovered: float
     changed_on_scrambled: int
     changed_on_recovered: int
     attacked: ImageGrid = field(repr=False, compare=False)
     recovered: ImageGrid = field(repr=False, compare=False)
+
+    @property
+    def psnr_recovered(self) -> float:
+        return _psnr_from_mse(self.mse_on_recovered)
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,22 +305,29 @@ class RecoveryReport:
         )
 
 
-def recovery_experiment(img: ImageGrid, key: ScrambleKey, spec: AttackSpec) -> RecoveryReport:
-    """scramble -> attack -> unscramble, with exact damage metrics on both sides."""
+def recovery_grid(img: ImageGrid, key: ScrambleKey, named_specs: Iterable[tuple[str, AttackSpec]]
+                  ) -> Iterator[tuple[str, RecoveryReport]]:
+    """Scramble img once, then yield (name, report) for each (name, spec), each
+    report made when asked for: attack -> unscramble, exact damage on both sides."""
     scrambled = scramble(img, key)
-    attacked = apply_attack(scrambled, spec)
-    recovered = unscramble(attacked, key)
-    mse_recovered = mse(img, recovered)
-    return RecoveryReport(
-        attack=spec,
-        mse_on_scrambled=mse(scrambled, attacked),
-        mse_on_recovered=mse_recovered,
-        psnr_recovered=_psnr_from_mse(mse_recovered),
-        changed_on_scrambled=changed_pixels(scrambled, attacked),
-        changed_on_recovered=changed_pixels(img, recovered),
-        attacked=attacked,
-        recovered=recovered,
-    )
+    for name, spec in named_specs:
+        attacked = apply_attack(scrambled, spec)
+        recovered = unscramble(attacked, key)
+        yield name, RecoveryReport(
+            attack=spec,
+            mse_on_scrambled=mse(scrambled, attacked),
+            mse_on_recovered=mse(img, recovered),
+            changed_on_scrambled=changed_pixels(scrambled, attacked),
+            changed_on_recovered=changed_pixels(img, recovered),
+            attacked=attacked,
+            recovered=recovered,
+        )
+
+
+def recovery_experiment(img: ImageGrid, key: ScrambleKey, spec: AttackSpec) -> RecoveryReport:
+    """scramble -> attack -> unscramble: the one-row recovery_grid."""
+    [(_, report)] = recovery_grid(img, key, [(spec.kind, spec)])
+    return report
 
 
 def robustness_attacks(n: int) -> tuple[tuple[str, AttackSpec], ...]:

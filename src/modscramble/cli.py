@@ -81,18 +81,17 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("attack", help="scramble, attack, unscramble, report recovery metrics")
     p.add_argument("input")
     p.add_argument("key")
-    # Each flag but --rect is named after a spec field; where the parser sets no
-    # default, a flag left out leaves the spec's own default in place.
+    # Each flag but --rect is named after a spec field, and none has a default
+    # here: a flag left out leaves the spec's own default in place.
     p.add_argument("--attack", required=True, choices=list(attacks.SPECS))
-    p.add_argument("--density", type=float, default=0.05, help="salt-pepper pixel fraction")
+    p.add_argument("--density", type=float, help="salt-pepper pixel fraction")
     p.add_argument("--mean", type=float, help="gaussian mean")
     p.add_argument("--variance", type=float,
                    help="gaussian variance (0..255 scale) or speckle variance")
     p.add_argument("--rect", help="crop rectangle row0,col0,height,width")
     p.add_argument("--fill", type=int, help="crop fill value")
-    p.add_argument("--quality", type=int, default=50, help="compression surrogate quality 1..100")
+    p.add_argument("--quality", type=int, help="compression surrogate quality 1..100")
     p.add_argument("--seed", type=int)
-    p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--attacked-out", help="write the attacked scrambled image here")
     p.add_argument("--recovered-out", help="write the recovered image here")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -127,13 +126,7 @@ def _key_from_args(args) -> ScrambleKey:
         raise UsageError("period needs either --key or --family")
     if args.n is None:
         raise UsageError("period needs --n with --family")
-    params = {}
-    if args.i is not None:
-        params["i"] = args.i
-    if args.k is not None:
-        params["k"] = args.k
-    if args.variant is not None:
-        params["variant"] = args.variant
+    params = {f: getattr(args, f) for f in ("i", "k", "variant") if getattr(args, f) is not None}
     if args.entries is not None:
         params["entries"] = _parse_ints(args.entries, 4, "--entries")
     try:
@@ -230,9 +223,6 @@ def _cmd_attack(args) -> int:
     key = keyfile.read_key_file(args.key)
     img = pnm.load_pnm(args.input)
     report = attacks.recovery_experiment(img, key, _attack_spec_from_args(args))
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(analysis.dumps_report(report.to_json_dict()) + "\n")
     if args.attacked_out:
         pnm.save_pnm(args.attacked_out, report.attacked)
     if args.recovered_out:
@@ -247,8 +237,7 @@ def _cmd_robustness(args) -> int:
     out = pathlib.Path(args.out)
     suffix = ".pgm" if img.channels == 1 else ".ppm"
     rows = []
-    for name, spec in attacks.robustness_attacks(img.side):
-        report = attacks.recovery_experiment(img, key, spec)
+    for name, report in attacks.recovery_grid(img, key, attacks.robustness_attacks(img.side)):
         out.mkdir(parents=True, exist_ok=True)  # after an attack ran, so a bad key writes nothing
         pnm.save_pnm(out / f"{name}_attacked{suffix}", report.attacked)
         pnm.save_pnm(out / f"{name}_recovered{suffix}", report.recovered)

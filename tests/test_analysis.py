@@ -19,6 +19,7 @@ from modscramble import (
     make_flt,
     make_gft,
     make_raw,
+    mat_mul_mod,
     orbit_signature,
     period,
     pattern_equivalent,
@@ -29,6 +30,7 @@ from modscramble import (
     validate,
 )
 from modscramble import analysis
+from modscramble import maps as maps_module
 
 from conftest import distinct_rgb, grid, proper_powers
 
@@ -234,6 +236,40 @@ def test_fibonacci_q_and_its_cube_share_a_class_at_a_large_prime():
     assert power_mod(q, 3) == make_flt(F.FIB32, 1).entries  # F(32)LT_1 = Q^3
     assert math.gcd(3, period(q)) == 1  # so Q^3 generates <Q>
     assert ("fibonacci-q", "F(32)LT_1") in cyclic_classes(standard_family_maps(1, 8), n).classes
+
+
+def _count_products(monkeypatch):
+    """Counts every 2x2 product mod n, in period searches and in the classes."""
+    calls = []
+    for module in (analysis, maps_module):
+        real = module.mat_mul_mod
+
+        def counted(x, y, n, real=real):
+            calls.append(1)
+            return real(x, y, n)
+
+        monkeypatch.setattr(module, "mat_mul_mod", counted)
+    return calls
+
+
+def test_maps_that_do_not_commute_build_no_baby_steps(monkeypatch):
+    n = 10007
+    a, b = make_raw(2, 4, 1, 1), make_raw(2, 1, 4, 1)  # a and its transpose
+    va, vb = validate(a, n), validate(b, n)
+    assert period(va) == period(vb) == 100140048
+    assert mat_mul_mod(va.reduced, vb.reduced, n) != mat_mul_mod(vb.reduced, va.reduced, n)
+    products = _count_products(monkeypatch)
+    assert cyclic_classes([a, b], n).classes == ((a.label,), (b.label,))
+    assert len(products) < 2000  # baby-step giant-step over sqrt(order) steps takes 20,479
+
+
+def test_commuting_maps_of_equal_order_are_still_told_apart_by_their_groups(monkeypatch):
+    d31, d13, d51 = make_raw(3, 0, 0, 1), make_raw(1, 0, 0, 3), make_raw(5, 0, 0, 1)
+    assert {period(validate(m, 7)) for m in (d31, d13, d51)} == {6}
+    products = _count_products(monkeypatch)
+    # diagonal matrices commute; diag(5, 1) = diag(3, 1)^5, and diag(1, 3) is not a power
+    assert cyclic_classes([d31, d13, d51], 7).classes == ((d31.label, d51.label), (d13.label,))
+    assert len(products) > 2 * 2  # more than the two commutation checks
 
 
 def _count_orbit_signatures(monkeypatch):

@@ -24,6 +24,7 @@ from modscramble import (
     recovery_experiment,
     scramble,
     validate,
+    write_pnm,
 )
 from modscramble.attacks import _DCT8, SPECS, spec_to_dict, sse
 
@@ -155,6 +156,24 @@ def test_compression_handles_rgb_and_non_multiple_of_8_sides():
     img = random_rgb(21, seed=5)
     out = apply_attack(img, CompressSurrogate(50))
     assert out.pixels.shape == img.pixels.shape
+
+
+#: One spec of every kind that fits a grid of side 1.
+_SMALL_SPECS = (SaltPepper(0.3, seed=1), GaussianNoise(seed=2), Speckle(seed=3),
+                Crop(0, 0, 1, 1, fill=9), CompressSurrogate(10))
+
+
+@pytest.mark.parametrize("rgb", [False, True], ids=["gray", "rgb"])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_every_attack_returns_row_major_pixels_that_unscramble_and_encode(n, rgb):
+    assert sorted(spec.kind for spec in _SMALL_SPECS) == sorted(SPECS)
+    img = (random_rgb if rgb else random_gray)(n, seed=n)
+    for spec in _SMALL_SPECS:
+        assert apply_attack(img, spec).pixels.flags.c_contiguous, spec
+        if n >= 2:  # a key needs a modulus of at least 2
+            rep = recovery_experiment(img, ScrambleKey(make_arnold(), n, 3), spec)
+            assert rep.mse_on_scrambled == rep.mse_on_recovered
+            assert len(write_pnm(rep.attacked)) == len(write_pnm(rep.recovered))
 
 
 def compress_oracle(img, quality):

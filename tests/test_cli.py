@@ -368,16 +368,14 @@ def test_attack_command_reports_matching_damage(tmp_path, capsys):
     img = random_gray(32, seed=2, lo=1, hi=255)
     save_pnm(tmp_path / "img.pgm", img)
     write_key_file(tmp_path / "k.json", ScrambleKey(build_map("gft", {"i": 2}), 32, 6))
-    report = tmp_path / "rep.json"
     rc = main([
         "attack", str(tmp_path / "img.pgm"), str(tmp_path / "k.json"),
-        "--attack", "salt-pepper", "--density", "0.05", "--seed", "11",
-        "--report", str(report),
+        "--attack", "salt-pepper", "--density", "0.05", "--seed", "11", "--format", "json",
         "--attacked-out", str(tmp_path / "att.pgm"),
         "--recovered-out", str(tmp_path / "rec.pgm"),
     ])
     assert rc == 0
-    doc = json.loads(report.read_text())
+    doc = json.loads(capsys.readouterr().out)
     assert doc["mse_on_scrambled"] == doc["mse_on_recovered"] > 0
     assert doc["changed_on_scrambled"] == doc["changed_on_recovered"]
     assert load_pnm(tmp_path / "att.pgm").side == 32
@@ -452,6 +450,16 @@ def test_attack_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_attack_report_option_is_a_usage_error(tmp_path, capsys):
+    save_pnm(tmp_path / "img.pgm", random_gray(8, seed=6))
+    write_key_file(tmp_path / "k.json", ScrambleKey(make_arnold(), 8, 1))
+    rc = main(["attack", str(tmp_path / "img.pgm"), str(tmp_path / "k.json"),
+               "--attack", "salt-pepper", "--report", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert "--report" in _one_error_line(capsys)
+    assert not (tmp_path / "x.json").exists()
+
+
 ROBUSTNESS_NAMES = ["salt_pepper_5pct", "salt_pepper_20pct", "gaussian_var100", "speckle_var05",
                     "crop_quarter", "compress_q10", "compress_q8", "compress_q6", "compress_q4"]
 
@@ -464,9 +472,11 @@ def _robustness_argv(tmp_path, img, n=None):
             "--out", str(tmp_path / "out")]
 
 
-@pytest.mark.parametrize("img", [random_gray(16, seed=8), random_rgb(16, seed=9)],
-                         ids=["gray", "rgb"])
-def test_robustness_writes_every_image_and_states_the_isometry(tmp_path, capsys, img):
+@pytest.mark.parametrize("img, crop", [(random_gray(16, seed=8), Crop(4, 4, 8, 8)),
+                                       (random_rgb(16, seed=9), Crop(4, 4, 8, 8)),
+                                       (random_rgb(8, seed=10), Crop(2, 2, 4, 4))],
+                         ids=["gray", "rgb", "rgb-one-compression-block"])
+def test_robustness_writes_every_image_and_states_the_isometry(tmp_path, capsys, img, crop):
     argv = _robustness_argv(tmp_path, img)
     assert main(argv) == 0
     captured = capsys.readouterr()
@@ -485,19 +495,32 @@ def test_robustness_writes_every_image_and_states_the_isometry(tmp_path, capsys,
         assert doc["mse_on_scrambled"] == doc["mse_on_recovered"]
         recovered = load_pnm(tmp_path / "out" / f"{name}_recovered{suffix}")
         assert attacks.mse(img, recovered) == doc["mse_on_recovered"]
-    assert docs["crop_quarter"]["attack"] == spec_to_dict(Crop(4, 4, 8, 8))
+    assert docs["crop_quarter"]["attack"] == spec_to_dict(crop)
+
+
+def test_robustness_scrambles_its_input_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = attacks.scramble
+
+    def counted(img, key):
+        calls.append(key)
+        return real(img, key)
+
+    monkeypatch.setattr(attacks, "scramble", counted)
+    assert main(_robustness_argv(tmp_path, random_gray(16, seed=8))) == 0
+    assert len(calls) == 1
 
 
 def test_robustness_names_a_broken_isometry_and_exits_0(tmp_path, capsys, monkeypatch):
-    experiment = attacks.recovery_experiment
+    grid = attacks.recovery_grid
 
-    def skewed(img, key, spec):
-        report = experiment(img, key, spec)
-        if spec == CompressSurrogate(8):
-            return dataclasses.replace(report, mse_on_recovered=report.mse_on_recovered + 1.0)
-        return report
+    def skewed(img, key, named_specs):
+        for name, report in grid(img, key, named_specs):
+            if report.attack == CompressSurrogate(8):
+                report = dataclasses.replace(report, mse_on_recovered=report.mse_on_recovered + 1.0)
+            yield name, report
 
-    monkeypatch.setattr(attacks, "recovery_experiment", skewed)
+    monkeypatch.setattr(attacks, "recovery_grid", skewed)
     assert main(_robustness_argv(tmp_path, random_gray(16, seed=8))) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines if line.endswith("isometry BROKEN")] == ["compress_q8"]
@@ -668,10 +691,7 @@ _LIST4 = st.lists(st.integers(-3, 12) | st.sampled_from([2**64, -2**64]), min_si
 #: Per subcommand: the arguments always given (strategies, in order) and the
 #: optional flags with their values (None for a flag that takes none). A
 #: survey's modulus stays small or above the period bound: a survey of
-#: hundreds of cells at a modulus near 2**32 takes seconds. The equivalence
-#: modulus is never _NEAR_BOUND, where the classes of the 50 standard maps
-#: take about 20 s.
-_NEAR_BOUND = "4294967291"
+#: hundreds of cells at a modulus near 2**32 takes seconds.
 _COMMANDS = {
     "scramble": ([_IMAGE, _KEY, _OUT], {}),
     "unscramble": ([_IMAGE, _KEY, _OUT], {"--verbose": None}),
@@ -681,12 +701,11 @@ _COMMANDS = {
                 st.integers(-3, 4096).map(str) | _HOSTILE], {"--format": _FORMAT}),
     "enumerate": ([st.just("--lo"), _SMALL.map(str) | _HOSTILE, st.just("--hi"),
                    _SMALL.map(str) | _HOSTILE], {"--list": None, "--format": _FORMAT}),
-    "equivalence": ([], {"--n": _INT.filter(lambda v: v != _NEAR_BOUND), "--range": _RANGE,
-                         "--format": _FORMAT}),
+    "equivalence": ([], {"--n": _INT, "--range": _RANGE, "--format": _FORMAT}),
     "attack": ([_IMAGE, _KEY, st.just("--attack"),
                 st.sampled_from(["salt-pepper", "gaussian", "speckle", "crop", "compress"])],
                {"--density": _FLOAT, "--mean": _FLOAT, "--variance": _FLOAT, "--rect": _LIST4,
-                "--fill": _INT, "--quality": _INT, "--seed": _INT, "--report": _OUT,
+                "--fill": _INT, "--quality": _INT, "--seed": _INT,
                 "--attacked-out": _OUT, "--recovered-out": _OUT, "--format": _FORMAT}),
     "robustness": ([_IMAGE, _KEY, st.just("--out"), _DIR], {"--format": _FORMAT}),
 }
@@ -701,8 +720,6 @@ def _argv(draw):
         if draw(st.booleans()):
             argv += [flag] if value is None else [flag, draw(value)]
     extras = st.lists(_HOSTILE | st.sampled_from(["--n", "--format", "--list", "-"]), max_size=2)
-    if command == "equivalence":
-        extras = extras.filter(lambda xs: xs != ["--n", _NEAR_BOUND])
     return argv + draw(extras)
 
 
