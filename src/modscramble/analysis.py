@@ -1,17 +1,12 @@
 """Security analysis: orbit signatures, pattern equivalence, map enumeration, surveys.
 
-Two maps are pattern-equivalent when iterating them from the same reference
-grid visits exactly the same set of grid states; a message scrambled by one
-can then be recovered by iterating the other. The reference must have side
-n. When its pixels at (1, 0) and (0, 1) each occur once, a state A^t *
-reference shows where those two pixels went, which are the columns of A^t
-mod n; the state set of a map A then stands for its cyclic group <A>
-without the identity, and equivalence is decided on 2x2 matrices: equal
-orders, commuting matrices and membership by baby-step giant-step.
-cyclic_classes groups maps that way from the maps and n alone. Any other
-reference is scrambled through the orbit, state by state. Surveys and the
-unimodular enumeration are the desk-scale reproductions of the reference
-period tables.
+Two maps are pattern-equivalent mod n when they generate the same cyclic
+group; a message scrambled by one can then be recovered by iterating the
+other. cyclic_classes decides that on 2x2 matrices alone: equal orders,
+commuting matrices and membership by baby-step giant-step. orbit_signature
+lists the grid states one map visits from a reference, as the reference
+orbit tables print them. Surveys and the unimodular enumeration are the
+desk-scale reproductions of the reference period tables.
 """
 
 import itertools
@@ -44,7 +39,7 @@ from .maps import (
     power_mod,
     validate,
 )
-from .scramble import ImageGrid, ScrambleKey, _flat, period, scramble
+from .scramble import ImageGrid, ScrambleKey, period, scramble
 from .sequences import INT64_MAX, SequenceFamily
 
 #: Published reference count of unimodular 2x2 matrices with entries in 0..99.
@@ -64,6 +59,10 @@ SURVEY_REFERENCE_128 = {
 #: 0.08 s and 47 MB and lists its matrices in 0.9 s and 182 MB.
 ENUMERATION_WORK_BOUND = 250_000
 
+#: Largest orbit orbit_signature keeps, as (period - 1) * N^2 * channels bytes
+#: of states: GFT_1 on a gray grid is accepted at N = 512 and refused at 1024.
+ORBIT_BYTES_BOUND = 1 << 28
+
 #: Largest accepted survey, as families x parameters cells; checked on the
 #: size of the parameter range before anything is built from it.
 SURVEY_CELL_BOUND = 10**5
@@ -74,10 +73,6 @@ class OrbitSignature:
     """Grid states visited through one full period, excluding the final return."""
 
     states: tuple[ImageGrid, ...]
-
-    @property
-    def state_set(self) -> frozenset[bytes]:
-        return frozenset(g.tobytes() for g in self.states)
 
     __hash__ = None
 
@@ -216,8 +211,18 @@ class EquivalenceReport:
 
 
 def orbit_signature(vm: ValidatedMap, reference: ImageGrid) -> OrbitSignature:
-    """All states scramble(reference, t) for 1 <= t < period, in visit order."""
+    """All states scramble(reference, t) for 1 <= t < period, in visit order.
+
+    Raises WorkBoundError before the first scramble when the states would
+    take more than ORBIT_BYTES_BOUND bytes.
+    """
     p = period(vm)
+    size = (p - 1) * reference.pixels.nbytes
+    if size > ORBIT_BYTES_BOUND:
+        raise WorkBoundError(
+            f"orbit of {vm.label} mod {vm.n} needs {size} bytes of states, "
+            f"above the memory bound of {ORBIT_BYTES_BOUND}"
+        )
     states = []
     key = ScrambleKey(vm.map, vm.n, 1)
     grid = reference
@@ -225,18 +230,6 @@ def orbit_signature(vm: ValidatedMap, reference: ImageGrid) -> OrbitSignature:
         grid = scramble(grid, key)
         states.append(grid)
     return OrbitSignature(tuple(states))
-
-
-def _tells_matrices_apart(reference: ImageGrid) -> bool:
-    """True when each state A^t * reference fixes the matrix A^t mod n.
-
-    That holds when the reference pixels at (1, 0) and (0, 1) each occur
-    once: a state then shows where each went, and those two points are the
-    columns of A^t. Only those two pixels are compared; the others may repeat.
-    A 1 x 1 reference has no such pixels.
-    """
-    side, flat = reference.side, _flat(reference.pixels)
-    return side > 1 and all(np.count_nonzero(flat == flat[i]) == 1 for i in (1, side))
 
 
 class _CyclicGroup:
@@ -281,16 +274,11 @@ class _CyclicGroup:
         return False
 
 
-def pattern_equivalent(a: ValidatedMap, b: ValidatedMap, reference: ImageGrid) -> bool:
-    """True when both maps visit the same state set from the reference grid.
-
-    Raises GridShapeError when the reference side is not the maps' modulus.
-    When the reference pixels at (1, 0) and (0, 1) each occur once this is
-    <a> = <b>, decided on matrices; otherwise both orbits are scrambled.
-    """
+def pattern_equivalent(a: ValidatedMap, b: ValidatedMap) -> bool:
+    """True when <a> = <b>: both maps generate the same cyclic group mod their modulus."""
     if a.n != b.n:
         raise ValueError(f"maps validated for different moduli: {a.n} vs {b.n}")
-    return len(equivalence_classes([a.map, b.map], reference, a.n).classes) == 1
+    return len(cyclic_classes([a.map, b.map], a.n).classes) == 1
 
 
 def enumerate_unimodular(lo: int, hi: int, collect: bool = False) -> EnumerationReport:
@@ -397,23 +385,13 @@ def standard_family_maps(lo: int, hi: int) -> list[TransformMap]:
 def equivalence_classes(
     maps: list[TransformMap], reference: ImageGrid, n: int
 ) -> EquivalenceReport:
-    """Group maps by identical orbit state set on the reference grid.
+    """cyclic_classes(maps, n); the reference is checked only for its side.
 
-    Classes keep the order in which their first member appears, and each
-    class keeps its members in input order. A reference whose side is not
-    n raises GridShapeError before any map is read. When the reference
-    pixels at (1, 0) and (0, 1) each occur once, the classes are
-    cyclic_classes(maps, n) and no image is scrambled. Any other reference
-    is grouped by its orbit signatures.
+    A reference whose side is not n raises GridShapeError before any map
+    is read. No image is scrambled.
     """
     if reference.side != n:
         raise GridShapeError(f"reference side {reference.side} does not match modulus {n}")
-    if not _tells_matrices_apart(reference):
-        groups: dict[frozenset, list[str]] = {}
-        for m in maps:
-            sig = orbit_signature(validate(m, n), reference)
-            groups.setdefault(sig.state_set, []).append(m.label)
-        return EquivalenceReport(n, tuple(tuple(labels) for labels in groups.values()))
     return cyclic_classes(maps, n)
 
 
@@ -423,8 +401,7 @@ def cyclic_classes(maps: list[TransformMap], n: int) -> EquivalenceReport:
     A map joins the first class whose representative generates the same
     group, found by order, commutation and baby-step giant-step. Classes keep
     the order in which their first member appears, and each class keeps its
-    members in input order. These are the classes equivalence_classes returns for any
-    reference whose pixels at (1, 0) and (0, 1) each occur once.
+    members in input order.
     """
     classes: list[tuple[_CyclicGroup, list[str]]] = []
     for m in maps:

@@ -92,7 +92,8 @@ class InvalidScramblerError(MathError):
 
 
 class WorkBoundError(MathError):
-    """An exhaustive search or a factorisation would exceed its documented work bound."""
+    """An exhaustive search, a factorisation or a stored orbit would exceed its
+    documented work or memory bound."""
 
 
 class GridShapeError(DataError):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from modscramble import ImageGrid, ScrambleKey, SequenceFamily, inverse_mod, period, scramble
+from modscramble import (
+    ImageGrid,
+    ScrambleKey,
+    SequenceFamily,
+    inverse_mod,
+    period,
+    scramble,
+    validate,
+)
 from modscramble.maps import IDENTITY, mat_mul_mod
 
 # First 18 terms of each named series, 1-indexed (golden reference rows).
@@ -79,6 +87,32 @@ def proper_powers(vm) -> frozenset:
         w, x, y, z = acc
         acc = ((w * a + x * c) % n, (w * b + x * d) % n, (y * a + z * c) % n, (y * b + z * d) % n)
     return frozenset(powers)
+
+
+def image_path_classes(maps, reference, n) -> tuple:
+    """Fourth oracle: maps whose orbits from the reference visit the same set of
+    grids share a class; classes and members keep their input order.
+
+    Pixels move with the reduced entries, as in permutation_order; no
+    scramble() and no orbit_signature().
+    """
+    flat = reference.pixels.reshape(n * n, -1)
+    start = np.arange(n * n)
+    groups = {}
+    for m in maps:
+        vm = validate(m, n)
+        a, b, c, d = vm.reduced
+        dest = np.array([((a * x + b * y) % n) * n + ((c * x + d * y) % n)
+                         for x in range(n) for y in range(n)])
+        states = set()
+        pos = dest  # where each pixel of the reference sits after t steps
+        while not np.array_equal(pos, start):
+            state = np.empty_like(flat)
+            state[pos] = flat
+            states.add(state.tobytes())
+            pos = dest[pos]
+        groups.setdefault(frozenset(states), []).append(m.label)
+    return tuple(tuple(labels) for labels in groups.values())
 
 
 def forward_route(scrambled: ImageGrid, key: ScrambleKey) -> ImageGrid:

@@ -193,7 +193,7 @@ def test_criterion_05_determinant_identity():
 def test_criterion_06_pattern_equivalence_and_classes():
     a = validate(make_gft(1), 3)
     b = validate(make_gft(5), 3)
-    equivalent = pattern_equivalent(a, b, A)
+    equivalent = pattern_equivalent(a, b)
     report = equivalence_classes(standard_family_maps(1, 8), A, 3)
     flagged = report.flagged
     ok = equivalent and len(flagged) > 0 and any("GFT_1" in c and "GFT_5" in c for c in flagged)

@@ -32,12 +32,20 @@ from modscramble import (
 from modscramble import analysis
 from modscramble import maps as maps_module
 
-from conftest import distinct_rgb, grid, proper_powers
+from conftest import distinct_rgb, grid, image_path_classes, proper_powers
 
 F = SequenceFamily
 
 
 # ------------------------------------------------------------------- orbits
+
+def _refuse_orbit_images(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit image was computed")
+
+    monkeypatch.setattr(analysis, "orbit_signature", refuse)
+    monkeypatch.setattr(analysis, "scramble", refuse)
+
 
 def test_gft1_orbit_matches_the_printed_states(reference_a):
     sig = orbit_signature(validate(make_gft(1), 3), reference_a)
@@ -65,45 +73,69 @@ def test_state_count_is_bounded_by_period_minus_one(reference_a):
         p = period(vm)
         assert len(sig.states) == p - 1
         # distinct-valued reference: all intermediate states distinct
-        assert len(sig.state_set) == p - 1
+        assert len({g.tobytes() for g in sig.states}) == p - 1
 
 
 def test_repeated_values_can_collapse_the_state_set():
     flat = grid([[7, 7, 7], [7, 7, 7], [7, 7, 7]])
     sig = orbit_signature(validate(make_gft(1), 3), flat)
     assert len(sig.states) == 7
-    assert len(sig.state_set) == 1  # every permutation of a constant grid is itself
+    # every permutation of a constant grid is itself
+    assert len({g.tobytes() for g in sig.states}) == 1
+
+
+def test_an_orbit_above_the_memory_bound_is_refused_before_any_scramble(monkeypatch):
+    _refuse_orbit_images(monkeypatch)
+    n = 1024
+    vm = validate(make_gft(1), n)
+    assert period(vm) == n
+    size = (n - 1) * n * n  # 1.07 GB of gray states
+    with pytest.raises(WorkBoundError, match=f"{size} bytes .* bound of {1 << 28}$"):
+        orbit_signature(vm, grid(np.zeros((n, n))))
+
+
+def test_the_orbit_memory_bound_admits_an_orbit_of_exactly_its_size(monkeypatch):
+    n = 16
+    vm = validate(make_gft(1), n)
+    size = (period(vm) - 1) * n * n
+    reference = grid(np.arange(n * n).reshape(n, n))
+    monkeypatch.setattr(analysis, "ORBIT_BYTES_BOUND", size)
+    assert len(orbit_signature(vm, reference).states) == period(vm) - 1
+    monkeypatch.setattr(analysis, "ORBIT_BYTES_BOUND", size - 1)
+    with pytest.raises(WorkBoundError, match=f"{size} bytes"):
+        orbit_signature(vm, reference)
 
 
 # ------------------------------------------------------- pattern equivalence
 
-def test_gft1_and_gft5_share_their_scrambling_pattern(reference_a):
+def test_gft1_and_gft5_share_their_scrambling_pattern():
     a = validate(make_gft(1), 3)
     b = validate(make_gft(5), 3)
-    assert pattern_equivalent(a, b, reference_a)
+    assert pattern_equivalent(a, b)
 
 
-def test_pattern_equivalence_is_reflexive(reference_a):
+def test_pattern_equivalence_is_reflexive():
     vm = validate(make_gft(2), 3)
-    assert pattern_equivalent(vm, vm, reference_a)
+    assert pattern_equivalent(vm, vm)
 
 
-def test_different_periods_mean_different_patterns(reference_a):
+def test_different_periods_mean_different_patterns():
     a = validate(make_gft(1), 3)  # period 8
     b = validate(make_flt(F.FIB11, 7), 3)  # period 2
-    assert not pattern_equivalent(a, b, reference_a)
+    assert not pattern_equivalent(a, b)
 
 
-def test_pattern_equivalence_requires_matching_moduli(reference_a):
+def test_pattern_equivalence_requires_matching_moduli():
     a = validate(make_gft(1), 3)
     b = validate(make_gft(1), 5)
     with pytest.raises(ValueError):
-        pattern_equivalent(a, b, reference_a)
+        pattern_equivalent(a, b)
 
 
 def test_pattern_equivalence_is_an_equivalence_relation(reference_a):
     maps = standard_family_maps(1, 8)
-    sigs = [orbit_signature(validate(m, 3), reference_a).state_set for m in maps]
+    sigs = [{g.tobytes() for g in orbit_signature(validate(m, 3), reference_a).states}
+            for m in maps]
     eq = [[s == t for t in sigs] for s in sigs]
     n = len(maps)
     for i in range(n):
@@ -150,14 +182,6 @@ def test_equivalence_classes_report(reference_a):
 
 
 # ------------------------------------- algebraic equivalence (distinct pixels)
-
-def image_path_classes(maps, reference, n):
-    """The orbit-image grouping, by state sets of scrambled grids."""
-    groups = {}
-    for m in maps:
-        groups.setdefault(orbit_signature(validate(m, n), reference).state_set, []).append(m.label)
-    return tuple(tuple(labels) for labels in groups.values())
-
 
 def subgroup_classes(maps, n):
     groups = {}
@@ -206,27 +230,17 @@ def test_a_distinct_reference_scrambles_no_image(monkeypatch, reference_a, n):
     reference = reference_a if n == 3 else distinct_rgb(n)
     maps = standard_family_maps(1, 8)
     expected = subgroup_classes(maps, n)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an orbit image was computed")
-
-    monkeypatch.setattr(analysis, "orbit_signature", refuse)
-    monkeypatch.setattr(analysis, "scramble", refuse)
+    _refuse_orbit_images(monkeypatch)
     assert equivalence_classes(maps, reference, n).classes == expected
     for i, j in [(1, 5), (1, 2), (2, 2)]:
         a, b = validate(make_gft(i), n), validate(make_gft(j), n)
-        assert pattern_equivalent(a, b, reference) == (proper_powers(a) == proper_powers(b))
+        assert pattern_equivalent(a, b) == (proper_powers(a) == proper_powers(b))
 
 
 @pytest.mark.parametrize("n", [4097, 5000])
 def test_cyclic_classes_need_no_reference_past_24_bit_sides(monkeypatch, n):
     maps = standard_family_maps(1, 8)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an orbit image was computed")
-
-    monkeypatch.setattr(analysis, "orbit_signature", refuse)
-    monkeypatch.setattr(analysis, "scramble", refuse)
+    _refuse_orbit_images(monkeypatch)
     assert cyclic_classes(maps, n).classes == subgroup_classes(maps, n)
 
 
@@ -272,28 +286,15 @@ def test_commuting_maps_of_equal_order_are_still_told_apart_by_their_groups(monk
     assert len(products) > 2 * 2  # more than the two commutation checks
 
 
-def _count_orbit_signatures(monkeypatch):
-    calls = []
-    real = analysis.orbit_signature
-
-    def counted(vm, reference):
-        calls.append(vm.label)
-        return real(vm, reference)
-
-    monkeypatch.setattr(analysis, "orbit_signature", counted)
-    return calls
-
-
-def test_a_constant_grid_still_takes_the_image_path(monkeypatch):
-    calls = _count_orbit_signatures(monkeypatch)
+def test_a_constant_grid_gets_the_matrix_classes(monkeypatch):
+    _refuse_orbit_images(monkeypatch)
     flat = grid([[7, 7, 7], [7, 7, 7], [7, 7, 7]])
     maps = [make_gft(1), make_flt(F.FIB11, 7), make_raw(1, 0, 0, 1)]
+    # the orbit images alone were all the constant grid: they put period 8 with period 2
+    assert image_path_classes(maps, flat, 3) == (("GFT_1", "F(11)LT_7"), ("raw(1, 0, 0, 1)",))
     report = equivalence_classes(maps, flat, 3)
-    # every moving map only ever shows the constant grid; the identity shows nothing
-    assert report.classes == (("GFT_1", "F(11)LT_7"), ("raw(1, 0, 0, 1)",))
-    assert len(calls) == 3
-    assert pattern_equivalent(validate(maps[0], 3), validate(maps[1], 3), flat)
-    assert len(calls) == 5
+    assert report.classes == (("GFT_1",), ("F(11)LT_7",), ("raw(1, 0, 0, 1)",))
+    assert not pattern_equivalent(validate(maps[0], 3), validate(maps[1], 3))
 
 
 def repeating_reference(n, rgb):
@@ -311,16 +312,11 @@ def test_two_unique_basis_pixels_decide_on_matrices(monkeypatch, n, rgb):
     reference = repeating_reference(n, rgb)
     maps = sweep_maps(n)
     from_images = image_path_classes(maps, reference, n)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an orbit image was computed")
-
-    monkeypatch.setattr(analysis, "orbit_signature", refuse)
-    monkeypatch.setattr(analysis, "scramble", refuse)
+    _refuse_orbit_images(monkeypatch)
     report = equivalence_classes(maps, reference, n)
     assert report.classes == subgroup_classes(maps, n) == from_images
     a, b = validate(maps[0], n), validate(maps[-1], n)
-    assert pattern_equivalent(a, b, reference) == (proper_powers(a) == proper_powers(b))
+    assert pattern_equivalent(a, b) == (proper_powers(a) == proper_powers(b))
 
 
 def test_a_one_pixel_reference_has_no_basis_pixels():
@@ -329,17 +325,24 @@ def test_a_one_pixel_reference_has_no_basis_pixels():
     assert equivalence_classes([], grid([[7]]), 1).classes == ()
 
 
-@pytest.mark.parametrize("rgb", [False, True])
-def test_one_repeated_pixel_takes_the_image_path(monkeypatch, rgb):
-    n = 4
-    px = distinct_rgb(n).pixels.copy() if rgb else np.arange(n * n, dtype=np.uint8).reshape(n, n)
+def repeated_basis_pixel(rgb):
+    """A 4 x 4 grid of otherwise distinct pixels whose (0, 1) pixel occurs again at (3, 2)."""
+    px = distinct_rgb(4).pixels.copy() if rgb else np.arange(16, dtype=np.uint8).reshape(4, 4)
     px[3, 2] = px[0, 1]
-    reference = grid(px)
-    calls = _count_orbit_signatures(monkeypatch)
+    return grid(px)
+
+
+@pytest.mark.parametrize("reference", [
+    pytest.param(grid([[7, 7, 7], [7, 7, 7], [7, 7, 7]]), id="constant"),
+    pytest.param(repeated_basis_pixel(False), id="repeated-basis-pixel-gray"),
+    pytest.param(repeated_basis_pixel(True), id="repeated-basis-pixel-rgb"),
+])
+def test_any_reference_of_side_n_decides_on_matrices(monkeypatch, reference):
+    n = reference.side
     maps = sweep_maps(n, count=4)
+    _refuse_orbit_images(monkeypatch)
     report = equivalence_classes(maps, reference, n)
-    assert len(calls) == len(maps)
-    assert report.classes == image_path_classes(maps, reference, n)
+    assert report.classes == cyclic_classes(maps, n).classes == subgroup_classes(maps, n)
 
 
 def test_a_side_mismatch_still_raises_grid_shape_error(reference_a):
@@ -347,8 +350,6 @@ def test_a_side_mismatch_still_raises_grid_shape_error(reference_a):
         equivalence_classes([make_gft(1)], reference_a, 5)
     with pytest.raises(GridShapeError, match="side 3 .* modulus 5"):  # no map moves a pixel
         equivalence_classes([make_raw(1, 0, 0, 1)], reference_a, 5)
-    with pytest.raises(GridShapeError):
-        pattern_equivalent(validate(make_gft(1), 5), validate(make_gft(2), 5), reference_a)
 
 
 @pytest.mark.parametrize("n", [3, 16, 64])
@@ -361,7 +362,7 @@ def test_pattern_equivalent_agrees_with_equivalence_classes(n, reference_a):
     for a in vms:
         for b in vms:
             same = class_of[a.label] == class_of[b.label]
-            assert pattern_equivalent(a, b, reference) == same, (a.label, b.label)
+            assert pattern_equivalent(a, b) == same, (a.label, b.label)
 
 
 # ---------------------------------------------------------------- enumerate
