@@ -8,8 +8,14 @@ Canonical writer output, byte for byte:
     raw pixel bytes, row-major (3 bytes per pixel for P6)
 
 The reader accepts any whitespace between header tokens and '#' comments
-through the end of the line; comments are never emitted on write.
+through the end of the line; comments are never emitted on write. Bytes
+after the raster are ignored. read_pnm and load_pnm share one header parser;
+load_pnm reads at most HEADER_MAX_BYTES of header from its file and then
+exactly the raster the header declares.
 """
+
+import os
+import stat
 
 import numpy as np
 
@@ -18,9 +24,16 @@ from .scramble import ImageGrid
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
+#: Most bytes of a file that load_pnm reads as its header, comments included:
+#: a longer header is refused, so an endless input cannot make it read forever.
+HEADER_MAX_BYTES = 1 << 16
 
-def _tokens(data: bytes):
-    """Yield (token, next_offset) over header fields, skipping comments."""
+
+def _tokens(data: bytes, ended):
+    """Yield (token, next_offset) over header fields, skipping comments.
+
+    ended(message) makes the error raised when data ends inside the header.
+    """
     i = 0
     n = len(data)
     while True:
@@ -33,7 +46,7 @@ def _tokens(data: bytes):
             else:
                 break
         if i >= n:
-            raise PnmFormatError("truncated header")
+            raise ended("truncated header")
         j = i
         while j < n and data[j] not in _WHITESPACE:
             j += 1
@@ -41,9 +54,19 @@ def _tokens(data: bytes):
         i = j
 
 
-def read_pnm(data: bytes) -> ImageGrid:
-    """Decode a binary P5/P6 stream into a square grid."""
-    toks = _tokens(data)
+def _parse_header(data: bytes, bound: int | None = None) -> tuple[int, int, int]:
+    """(side, channels, raster offset) of the square P5/P6 header that starts data.
+
+    data is the first bound bytes of a longer stream when bound is given: a
+    header that runs to the end of a full bound is then reported as too long.
+    """
+
+    def ended(message):
+        if bound is not None and len(data) >= bound:
+            message = f"header is longer than {bound} bytes"
+        return PnmFormatError(message)
+
+    toks = _tokens(data, ended)
     magic, _ = next(toks)
     if magic == b"P5":
         channels = 1
@@ -71,18 +94,35 @@ def read_pnm(data: bytes) -> ImageGrid:
             f"image is {width} wide x {height} high; a square image is required"
         )
     # Exactly one whitespace byte separates the header from the raster.
-    if offset >= len(data) or data[offset] not in _WHITESPACE:
+    if offset >= len(data):
+        raise ended("missing whitespace after maxval")
+    if data[offset] not in _WHITESPACE:
         raise PnmFormatError("missing whitespace after maxval")
-    start = offset + 1
-    need = width * height * channels
+    return width, channels, offset + 1
+
+
+def _truncated(need: int, got: int) -> PnmFormatError:
+    return PnmFormatError(f"truncated pixel data: expected {need} bytes, got {got}")
+
+
+def _shape(side: int, channels: int) -> tuple[int, ...]:
+    return (side, side) if channels == 1 else (side, side, 3)
+
+
+def read_pnm(data: bytes) -> ImageGrid:
+    """Decode a binary P5/P6 stream into a square grid.
+
+    The grid of an immutable bytes input is a read-only view of its raster,
+    made with no copy. The raster of a bytearray is copied, so the caller
+    may go on changing the bytearray.
+    """
+    side, channels, start = _parse_header(data)
+    need = side * side * channels
     if len(data) - start < need:
-        raise PnmFormatError(
-            f"truncated pixel data: expected {need} bytes, got {len(data) - start}"
-        )
-    # A view of the raster in data; ImageGrid makes the one copy.
+        raise _truncated(need, len(data) - start)
     px = np.frombuffer(data, dtype=np.uint8, count=need, offset=start)
-    shape = (height, width) if channels == 1 else (height, width, 3)
-    return ImageGrid(px.reshape(shape))
+    px = px.reshape(_shape(side, channels))
+    return ImageGrid._own(px) if isinstance(data, bytes) else ImageGrid(px)
 
 
 def _header(img: ImageGrid) -> bytes:
@@ -96,8 +136,28 @@ def write_pnm(img: ImageGrid) -> bytes:
 
 
 def load_pnm(path) -> ImageGrid:
+    """Read a P5/P6 file: at most HEADER_MAX_BYTES of header, then exactly its raster.
+
+    A regular file that holds fewer raster bytes than its header declares is
+    refused before the raster is allocated. The raster is read straight into
+    the grid's own array; bytes after it are not read.
+    """
     with open(path, "rb") as fh:
-        return read_pnm(fh.read())
+        head = fh.read(HEADER_MAX_BYTES)
+        side, channels, start = _parse_header(head, HEADER_MAX_BYTES)
+        need = side * side * channels
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size - start < need:
+            raise _truncated(need, info.st_size - start)
+        px = np.empty(need, dtype=np.uint8)
+        filled = min(need, len(head) - start)
+        px[:filled] = np.frombuffer(head, dtype=np.uint8, count=filled, offset=start)
+        while filled < need:
+            got = fh.readinto(memoryview(px)[filled:])
+            if not got:
+                raise _truncated(need, filled)
+            filled += got
+    return ImageGrid._own(px.reshape(_shape(side, channels)))
 
 
 def save_pnm(path, img: ImageGrid) -> None:

@@ -6,14 +6,16 @@ x is the row index, y is the column index, both zero-based, and the pixel at
 scrambling collapses t applications into a single matrix power, then performs
 one permutation pass, which is identical to t sequential passes.
 
-scramble and unscramble are one pass (_pass): scramble scatters each pixel
-to its destination, unscramble gathers it back, both through one cached flat
-index of M^t. Only the index of the last (matrix, n) is kept; it is writable
-and never leaves this module. From _SPLIT_PIXELS pixels on a pass is split
-into one contiguous part per usable CPU, each extra part on a thread started
-and joined inside the call; NumPy releases the GIL while it copies, so the
-parts run at once. The grid a pass returns wraps the array the pass
-allocated, with no further copy.
+scramble and unscramble are one pass (_pass) through a cached flat index.
+unscramble gathers each pixel back through the index of M^t; a gray
+scramble gathers through the index of M^-t, and an RGB scramble scatters
+through the index of M^t. Only the indexes of the last (matrix, n) are kept,
+in the smallest unsigned dtype that holds n*n - 1, and they never leave this
+module; a pass hands them to NumPy one block at a time. From _SPLIT_PIXELS
+pixels on a pass is split into one contiguous part per usable CPU, each extra
+part on a thread started and joined inside the call; NumPy releases the GIL
+while it copies, so the parts run at once. The grid a pass returns wraps the
+array the pass allocated, with no further copy.
 """
 
 import functools
@@ -24,7 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridShapeError, WorkBoundError
-from .maps import IDENTITY, Entries, TransformMap, ValidatedMap, power_mod, validate
+from .maps import (
+    IDENTITY,
+    Entries,
+    TransformMap,
+    ValidatedMap,
+    inverse_mod,
+    make_raw,
+    power_mod,
+    validate,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,28 +132,40 @@ def apply_point(vm: ValidatedMap, x: int, y: int) -> tuple[int, int]:
     return (a * x + b * y) % n, (c * x + d * y) % n
 
 
-#: Elements of each row block while an index is built; bounds its temporaries.
+#: Elements of each block: a row block while an index is built, and an index
+#: block handed to np.take or np.put while a pass moves pixels. Bounds their
+#: temporaries.
 _BLOCK = 1 << 15
 
-#: The index of the last (matrix, n) used, as ((matrix, n), index), or None.
-_last_index: tuple[tuple[Entries, int], np.ndarray] | None = None
+#: The indexes of the last (matrix, n) used, as ((matrix, n), [forward,
+#: inverse]), where a direction not used yet is None; or None.
+_last_indexes: tuple[tuple[Entries, int], list] | None = None
 _index_lock = threading.Lock()
 
 
-def _build_index(matrix: Entries, n: int) -> np.ndarray:
+def _index_dtype(n: int) -> np.dtype:
+    """The smallest unsigned dtype that holds n*n - 1: uint32 up to n = 65536."""
+    fits = n * n - 1 <= np.iinfo(np.uint32).max
+    return np.dtype(np.uint32 if fits else np.uint64)
+
+
+def _build_index(matrix: Entries, n: int, dtype=None) -> np.ndarray:
     """Flat destination x'*n + y' of every source pixel x*n + y, built in row blocks.
 
-    Each row block is an outer sum of per-axis residues, reduced by one
-    unsigned wrap: for v in [0, 2m), min(v, v - m) is v mod m, because v - m
-    wraps round to a huge value when v < m.
+    The index has dtype, by default _index_dtype(n). Each row block is an
+    outer sum of per-axis residues, reduced by one unsigned wrap: for v in
+    [0, 2m), min(v, v - m) is v mod m, because v - m wraps round to a huge
+    value when v < m. The sums are taken in dtype when 2m fits in it, else
+    in uint64.
     """
     a, b, c, d = matrix
     nn = n * n
-    work = np.uint32 if 2 * nn <= 2**32 else np.uint64
+    dtype = _index_dtype(n) if dtype is None else np.dtype(dtype)
+    work = dtype.type if 2 * nn <= np.iinfo(dtype).max + 1 else np.uint64
     r = np.arange(n, dtype=work)
     ax, by = (coef * r % n * n for coef in (work(a), work(b)))  # x' terms, times n
     cx, dy = (coef * r % n for coef in (work(c), work(d)))
-    index = np.empty(nn, dtype=np.intp)
+    index = np.empty(nn, dtype=dtype)
     rows = max(1, _BLOCK // n)
     xs, ys, spare = (np.empty((rows, n), dtype=work) for _ in range(3))
     for x0 in range(0, n, rows):
@@ -157,22 +180,27 @@ def _build_index(matrix: Entries, n: int) -> np.ndarray:
     return index
 
 
-def _cached_index(matrix: Entries, n: int) -> np.ndarray:
-    """The flat index of (matrix, n), built on a miss.
+def _cached_index(matrix: Entries, n: int, inverse: bool = False) -> np.ndarray:
+    """The flat index of (matrix, n), or of its inverse, built on first use.
 
-    Pixel i = x*n + y moves to index[i]. Only the index of the last
-    (matrix, n) is kept, so a key that scrambles many images, or scrambles
-    and then unscrambles, builds it once; the old one is dropped before a
-    new one is built, so at most one (8 bytes per pixel) is held at any
-    time. The index is writable: np.take and np.put copy a read-only index
-    on every call (32 MiB at N = 2048).
+    Pixel i = x*n + y moves to index[i] under the matrix; the inverse index
+    undoes that move. Only the indexes of the last (matrix, n) are kept, so
+    a key that scrambles many images, or scrambles and then unscrambles,
+    builds each direction once; a new (matrix, n) drops both before it
+    builds anything. Each index is held in _index_dtype(n), so both
+    directions together take 8 bytes per pixel up to n = 65536, as much as
+    one intp index. A pass hands NumPy one _BLOCK of it at a time.
     """
-    global _last_index
+    global _last_indexes
     with _index_lock:
-        if _last_index is None or _last_index[0] != (matrix, n):
-            _last_index = None  # free the old index before the new one exists
-            _last_index = ((matrix, n), _build_index(matrix, n))
-        return _last_index[1]
+        if _last_indexes is None or _last_indexes[0] != (matrix, n):
+            _last_indexes = None  # free the old indexes before a new one exists
+            _last_indexes = ((matrix, n), [None, None])
+        slots = _last_indexes[1]
+        if slots[inverse] is None:
+            target = inverse_mod(validate(make_raw(*matrix), n)).reduced if inverse else matrix
+            slots[inverse] = _build_index(target, n)
+        return slots[inverse]
 
 
 _RGB = np.dtype((np.void, 3))
@@ -186,9 +214,12 @@ def _flat(pixels: np.ndarray) -> np.ndarray:
 
 
 #: Pixels from which a pass is split into one part per usable CPU: N >= 1449.
-#: On a 2-CPU Xeon (medians of 31 interleaved runs), two parts lost at
-#: N = 1031 gray (scatter 3.1 -> 3.5 ms) and won at N = 2048 RGB (scatter
-#: 40 -> 22 ms, gather 61 -> 34 ms) and N = 4096 gray (scatter 156 -> 81 ms).
+#: Measured with the earlier whole-index scatter on a 2-CPU Xeon (medians of
+#: 31 interleaved runs): two parts lost at N = 1031 gray (scatter 3.1 -> 3.5
+#: ms) and won at N = 2048 RGB (scatter 40 -> 22 ms, gather 61 -> 34 ms) and
+#: N = 4096 gray (scatter 156 -> 81 ms). With the blocked passes the same
+#: host, in a phase where the second CPU was busy, timed one and two parts
+#: alike at N = 1031 gray, 2048 RGB and 4096 gray; not re-measured otherwise.
 _SPLIT_PIXELS = 1 << 21
 
 
@@ -232,51 +263,48 @@ def _run_parts(work, total: int) -> None:
         raise errors[0]
 
 
-# In _scatter and _gather, mode="clip" lets np.put and np.take write in place
-# ("raise" makes them buffer the output); a permutation index never clips.
+# _scatter and _gather hand np.put and np.take one _BLOCK of the compact
+# index at a time. NumPy converts that block to intp (and np.put copies the
+# read-only block of the source it moves), so a pass allocates O(_BLOCK)
+# besides its output; handed the whole index, it converts all of it on every
+# call. mode="clip" lets np.put and np.take write in place ("raise" makes
+# them buffer the output); a permutation index never clips.
 
 
 def _scatter(src: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """out[index[i]] = src[i] for every pixel i.
-
-    Fancy assignment is the faster scatter for 1-byte gray pixels (20 ms
-    against 27 ms for np.put at N = 2048), np.put for 3-byte RGB ones (29 ms
-    against 56 ms). np.put copies a read-only source, so that copy is made
-    here, in the calling thread: made in the worker threads, it added 20 to
-    30 MB to the peak RSS of a run of N = 2048 round trips.
-    """
+    """out[index[i]] = src[i] for every pixel i, by np.put one block at a time."""
     out = np.empty_like(src)
-    if src.itemsize == 1:
-        def part(lo, hi):
-            out[index[lo:hi]] = src[lo:hi]
-    else:
-        writable = src.copy()
 
-        def part(lo, hi):
-            np.put(out, index[lo:hi], writable[lo:hi], mode="clip")
+    def part(lo, hi):
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            np.put(out, index[start:stop], src[start:stop], mode="clip")
 
     _run_parts(part, src.size)
     return out
 
 
 def _gather(src: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """out[i] = src[index[i]] for every pixel i, written straight into out.
-
-    np.take on the writable index is the faster gather for both pixel sizes:
-    at N = 2048, 8.5 ms against 10.4 ms for fancy indexing on gray, and
-    37 ms against 65 ms on RGB.
-    """
+    """out[i] = src[index[i]] for every pixel i, by np.take one block at a time."""
     out = np.empty_like(src)
 
     def part(lo, hi):
-        np.take(src, index[lo:hi], out=out[lo:hi], mode="clip")
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            np.take(src, index[start:stop], out=out[start:stop], mode="clip")
 
     _run_parts(part, src.size)
     return out
 
 
-def _pass(img: ImageGrid, key: ScrambleKey, move) -> ImageGrid:
-    """Run move (_scatter or _gather) over img's pixels and the index of M^t."""
+def _pass(img: ImageGrid, key: ScrambleKey, forward: bool) -> ImageGrid:
+    """Move img's pixels by M^t (forward, scramble) or back (unscramble).
+
+    Every pass gathers but one: unscramble gathers through the index of M^t,
+    and a gray scramble through the index of M^-t. An RGB scramble scatters
+    through the index of M^t, because np.put moves 3-byte pixels faster than
+    np.take (28-51 against 49-113 ms at N = 2048 on a 2-CPU Xeon).
+    """
     if img.side != key.n:
         raise GridShapeError(
             f"key modulus {key.n} does not match image side {img.side}"
@@ -284,13 +312,19 @@ def _pass(img: ImageGrid, key: ScrambleKey, move) -> ImageGrid:
     matrix = power_mod(key.validated(), key.iterations)
     if matrix == IDENTITY:
         return img
-    out = move(_flat(img.pixels), _cached_index(matrix, key.n))
+    src = _flat(img.pixels)
+    if not forward:
+        out = _gather(src, _cached_index(matrix, key.n))
+    elif src.itemsize == 1:
+        out = _gather(src, _cached_index(matrix, key.n, inverse=True))
+    else:
+        out = _scatter(src, _cached_index(matrix, key.n))
     return ImageGrid._own(out.view(np.uint8).reshape(img.pixels.shape))
 
 
 def scramble(img: ImageGrid, key: ScrambleKey) -> ImageGrid:
     """Move every pixel t = key.iterations times: out[M^t (x, y)] = in[x, y]."""
-    return _pass(img, key, _scatter)
+    return _pass(img, key, forward=True)
 
 
 #: Largest modulus period() accepts. Trial division of N, and of q - 1 and
@@ -358,9 +392,9 @@ def plan_unscramble(vm: ValidatedMap, iterations: int) -> RoutePlan:
 def unscramble(img: ImageGrid, key: ScrambleKey) -> ImageGrid:
     """Exact inverse of scramble with the same key: out[x, y] = in[M^t (x, y)].
 
-    It gathers through the same cached index that scramble scatters through,
-    so it needs only M^t: no period and no inverse matrix. The paper's two
-    routes, iterating the map period - t more times or the inverse map t
-    times, give the same permutation; plan_unscramble reports their costs.
+    It gathers through the cached index of M^t, so it needs only M^t: no
+    period and no inverse matrix. The paper's two routes, iterating the map
+    period - t more times or the inverse map t times, give the same
+    permutation; plan_unscramble reports their costs.
     """
-    return _pass(img, key, _gather)
+    return _pass(img, key, forward=False)

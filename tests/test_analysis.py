@@ -133,18 +133,22 @@ def test_pattern_equivalence_requires_matching_moduli():
 
 
 def test_pattern_equivalence_is_an_equivalence_relation(reference_a):
-    maps = standard_family_maps(1, 8)
-    sigs = [{g.tobytes() for g in orbit_signature(validate(m, 3), reference_a).states}
-            for m in maps]
-    eq = [[s == t for t in sigs] for s in sigs]
-    n = len(maps)
-    for i in range(n):
-        assert eq[i][i]
-        for j in range(n):
-            assert eq[i][j] == eq[j][i]
-            for k in range(n):
-                if eq[i][j] and eq[j][k]:
-                    assert eq[i][k]
+    for n in (3, 16):
+        vms = [validate(m, n) for m in standard_family_maps(1, 8)]
+        count = len(vms)
+        eq = [[pattern_equivalent(a, b) for b in vms] for a in vms]
+        for i in range(count):
+            assert eq[i][i]
+            for j in range(count):
+                assert eq[i][j] == eq[j][i]
+                for k in range(count):
+                    if eq[i][j] and eq[j][k]:
+                        assert eq[i][k]
+        assert any(eq[i][j] for i in range(count) for j in range(i))  # not mere equality
+        if n == 3:  # the relation is equality of the orbit-state sets on reference A
+            states = [{g.tobytes() for g in orbit_signature(vm, reference_a).states}
+                      for vm in vms]
+            assert eq == [[s == t for t in states] for s in states]
 
 
 def test_equivalent_maps_reach_every_state_of_each_other(reference_a):

@@ -574,6 +574,20 @@ def test_an_endless_key_file_is_refused(capsys):
     assert "longer than" in _one_error_line(capsys)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("command", ["scramble", "robustness"])
+def test_an_endless_image_is_refused(workspace, command):
+    out = workspace / ("out.pgm" if command == "scramble" else "grid")
+    argv = [command, "/dev/zero", str(workspace / "arnold3.json")]
+    argv += [str(out)] if command == "scramble" else ["--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-m", "modscramble.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: unsupported magic") and run.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_input_file_is_a_data_error(workspace):
     assert main(["scramble", str(workspace / "missing.pgm"), str(workspace / "arnold3.json"),
                  str(workspace / "x.pgm")]) == 2

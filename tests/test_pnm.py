@@ -1,3 +1,8 @@
+import os
+import threading
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +22,7 @@ from modscramble import (
 from modscramble import SequenceFamily as F
 from modscramble.cli import main
 from modscramble.keyfile import write_key_file
-from modscramble.pnm import save_pnm
+from modscramble.pnm import HEADER_MAX_BYTES, load_pnm, save_pnm
 
 from conftest import grid, random_gray, random_rgb
 
@@ -184,3 +189,88 @@ def test_save_pnm_writes_the_bytes_of_write_pnm(make_image, tmp_path):
     for grid_ in (img, scramble(img, key), unscramble(img, key)):
         save_pnm(tmp_path / "out.pnm", grid_)
         assert (tmp_path / "out.pnm").read_bytes() == write_pnm(grid_)
+
+
+def test_read_pnm_of_bytes_is_a_read_only_view_of_its_raster():
+    data = write_pnm(random_rgb(6, seed=7))
+    img = read_pnm(data)
+    assert np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+    assert not img.pixels.flags.writeable
+    with pytest.raises(ValueError):
+        img.pixels[0, 0] = 0
+
+
+def test_read_pnm_copies_a_mutable_buffer():
+    data = bytearray(write_pnm(random_gray(5, seed=8)))
+    img = read_pnm(data)
+    expected = img.pixels.copy()
+    data[-25:] = bytes(25)
+    assert np.array_equal(img.pixels, expected)
+    assert not np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n, channels", [(5, 1), (300, 1), (200, 3)])  # rasters in and past the header read
+def test_load_pnm_reads_what_read_pnm_reads(tmp_path, n, channels):
+    img = random_rgb(n, seed=n) if channels == 3 else random_gray(n, seed=n)
+    data = b"P6 # a comment\n" if channels == 3 else b"P5\n"
+    data += b"%d %d 255\n" % (n, n) + img.tobytes() + b"trailing bytes"
+    (tmp_path / "in.pnm").write_bytes(data)
+    loaded = load_pnm(tmp_path / "in.pnm")
+    assert loaded == read_pnm(data) == img
+    assert not loaded.pixels.flags.writeable
+
+
+def test_a_raster_larger_than_its_file_is_refused_before_it_is_allocated(tmp_path):
+    (tmp_path / "big.pgm").write_bytes(b"P5 50000 50000 255\n" + bytes(100))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PnmFormatError, match="expected 2500000000 bytes, got 100"):
+            load_pnm(tmp_path / "big.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * HEADER_MAX_BYTES
+
+
+def test_a_header_past_the_bound_is_refused_by_load_pnm(tmp_path):
+    data = b"P5 #" + b"c" * HEADER_MAX_BYTES + b"\n3 3 255\n" + bytes(9)
+    assert read_pnm(data).side == 3  # read_pnm has no header bound
+    comment = b"#" + b"c" * (HEADER_MAX_BYTES - 12) + b"\n"
+    maxval_at_the_bound = b"P5 3 3 " + comment + b"255" + b"\n" + bytes(9)  # 255 ends at the bound
+    assert read_pnm(maxval_at_the_bound).side == 3
+    for long_header in (data, maxval_at_the_bound):
+        (tmp_path / "long.pgm").write_bytes(long_header)
+        with pytest.raises(PnmFormatError, match=f"header is longer than {HEADER_MAX_BYTES} bytes"):
+            load_pnm(tmp_path / "long.pgm")
+    # a file that ends inside a short header is truncated, not too long
+    (tmp_path / "short.pgm").write_bytes(b"P5 3 3 255")
+    with pytest.raises(PnmFormatError, match="missing whitespace after maxval"):
+        load_pnm(tmp_path / "short.pgm")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("missing", [0, 1, 70000])  # raster bytes cut off the end
+def test_load_pnm_reads_a_pipe_to_the_end_of_its_raster(tmp_path, missing):
+    # a pipe has no size to check first: a short raster is found at its end
+    n = 362  # a raster of 131044 bytes, past the first header read
+    img = random_gray(n, seed=1)
+    data = b"P5 %d %d 255\n" % (n, n) + img.tobytes()
+    data = data[: len(data) - missing]
+    fifo = tmp_path / "in.pgm"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        if missing == 0:
+            assert load_pnm(fifo) == img
+        else:
+            with pytest.raises(PnmFormatError, match=f"expected {n * n} bytes, got {n * n - missing}"):
+                load_pnm(fifo)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()

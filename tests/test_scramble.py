@@ -431,22 +431,52 @@ def test_index_built_in_row_blocks_matches_the_oracle(monkeypatch, block):
     assert np.array_equal(module._build_index(vm.reduced, 13), _oracle_destinations(vm, 1))
 
 
+def test_index_dtype_is_the_smallest_that_holds_every_pixel():
+    index_dtype = importlib.import_module("modscramble.scramble")._index_dtype
+    assert index_dtype(2) == np.uint32
+    assert index_dtype(65536) == np.uint32  # 65536**2 - 1 == 2**32 - 1
+    assert index_dtype(65537) == np.uint64
+
+
+@pytest.mark.parametrize("n", [2, 13, 64, 101])
+def test_a_uint64_build_equals_a_uint32_build(n):
+    build = importlib.import_module("modscramble.scramble")._build_index
+    vm = validate(make_flt(F.FIB32, 3), n)
+    wide, narrow = build(vm.reduced, n, np.uint64), build(vm.reduced, n, np.uint32)
+    assert wide.dtype == np.uint64 and narrow.dtype == np.uint32
+    assert np.array_equal(wide, narrow)
+    assert np.array_equal(narrow, _oracle_destinations(vm, 1))
+
+
 def test_cached_index_is_reused():
     cached_index = importlib.import_module("modscramble.scramble")._cached_index
-    assert cached_index((2, 1, 1, 1), 8) is cached_index((2, 1, 1, 1), 8)
+    forward = cached_index((2, 1, 1, 1), 8)
+    inverse = cached_index((2, 1, 1, 1), 8, inverse=True)
+    assert cached_index((2, 1, 1, 1), 8) is forward
+    assert cached_index((2, 1, 1, 1), 8, inverse=True) is inverse
+    assert np.array_equal(forward[inverse], np.arange(64))  # the two directions undo each other
 
 
 def test_at_most_one_index_is_held():
-    cached_index = importlib.import_module("modscramble.scramble")._cached_index
+    # both directions of the last key at most, in 8 bytes per pixel together
+    module = importlib.import_module("modscramble.scramble")
     rng = np.random.default_rng(3)
     alive = []
-    for _ in range(12):
+    for step in range(24):
         n = int(rng.integers(2, 24))
         key = ScrambleKey(_random_invertible(rng, n).map, n, int(rng.integers(1, 9)))
-        img = random_gray(n, seed=n)
+        img = (random_gray, random_rgb)[step % 2](n, seed=n)
         unscramble(scramble(img, key), key)
-        alive.append(weakref.ref(cached_index(power_mod(key.validated(), key.iterations), n)))
-        assert sum(ref() is not None for ref in alive) <= 1
+        matrix = power_mod(key.validated(), key.iterations)
+        if matrix == IDENTITY:  # no index was needed
+            continue
+        held = module._last_indexes
+        assert held[0] == (matrix, n)
+        alive += [weakref.ref(index) for index in held[1] if index is not None]
+        indexes = [ref() for ref in alive if ref() is not None]
+        assert all(any(index is mine for mine in held[1]) for index in indexes)
+        assert sum(index.nbytes for index in indexes) <= 8 * n * n
+        del held, indexes  # hold no index into the next key
 
 
 def test_threads_build_one_index_at_a_time(monkeypatch):
@@ -530,6 +560,23 @@ def test_split_and_single_passes_give_equal_bytes(monkeypatch, make_image, parts
         assert single.tobytes() == split.tobytes()
 
 
+@pytest.mark.parametrize("make_image", [random_gray, random_rgb], ids=["gray", "rgb"])
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocked_passes_match_the_oracle(monkeypatch, make_image, block):
+    # blocks that straddle the parts of a split pass, with a short last block
+    module = importlib.import_module("modscramble.scramble")
+    monkeypatch.setattr(module, "_BLOCK", block)
+    monkeypatch.setattr(module, "_SPLIT_PIXELS", 1)
+    monkeypatch.setattr(module, "_usable_cpus", lambda: 3)
+    n = 23
+    vm = _random_invertible(np.random.default_rng(block), n)
+    key = ScrambleKey(vm.map, n, 4)
+    img = make_image(n, seed=block)
+    scrambled = scramble(img, key)
+    assert np.array_equal(scrambled.pixels, _oracle_scramble(img, _oracle_destinations(vm, 4)))
+    assert unscramble(scrambled, key) == img
+
+
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
     module = importlib.import_module("modscramble.scramble")
     monkeypatch.delattr(module.os, "sched_getaffinity", raising=False)
@@ -599,19 +646,24 @@ def test_public_image_grid_keeps_its_own_copy():
 
 @pytest.mark.parametrize("make_image", [random_gray, random_rgb], ids=["gray", "rgb"])
 def test_a_pass_allocates_less_than_a_copy_of_the_index(make_image):
-    # np.take and np.put copy a read-only index (8 bytes per pixel) on every
-    # call; the passes hand them the cache's writable one. A pass allocates
-    # its output, and np.put one staging copy of the source: 6 bytes per RGB pixel.
-    img = make_image(256, seed=5)
-    key = ScrambleKey(make_flt(F.FIB11, 6), 256, 20)
-    scramble(img, key)  # builds the index
+    # NumPy converts one _BLOCK of the compact index to intp at a time (8
+    # bytes an entry), and np.put copies one read-only _BLOCK of RGB source
+    # (3 bytes a pixel): a pass allocates its output and 11 _BLOCKs more,
+    # which at this size is below one compact index.
+    module = importlib.import_module("modscramble.scramble")
+    n = 1024
+    img = make_image(n, seed=5)
+    key = ScrambleKey(make_flt(F.FIB11, 6), n, 20)
+    unscramble(scramble(img, key), key)  # builds both directions
+    bound = img.pixels.nbytes + 12 * module._BLOCK
+    assert bound < module._index_dtype(n).itemsize * n * n
     tracemalloc.start()
     try:
         for run in (scramble, unscramble):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             out = run(img, key)
-            assert tracemalloc.get_traced_memory()[1] - before < 8 * 256 * 256
+            assert tracemalloc.get_traced_memory()[1] - before < bound
             del out
     finally:
         tracemalloc.stop()
