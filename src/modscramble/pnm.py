@@ -27,6 +27,8 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 #: Most bytes of a file that load_pnm reads as its header, comments included:
 #: a longer header is refused, so an endless input cannot make it read forever.
 HEADER_MAX_BYTES = 1 << 16
+#: Most bytes load_pnm asks of an input that is not a regular file in one read.
+_STREAM_CHUNK = 1 << 20
 
 
 def _tokens(data: bytes, ended):
@@ -135,19 +137,42 @@ def write_pnm(img: ImageGrid) -> bytes:
     return b"".join((_header(img), img.pixels))
 
 
+def _read_stream(fh, head: bytes, need: int) -> bytes:
+    """Exactly need bytes: head, then reads of at most _STREAM_CHUNK from fh.
+
+    The bytes are held only as they arrive, so a header that declares more
+    than the stream holds costs no more memory than the stream.
+    """
+    chunks = [head[:need]]
+    got = len(chunks[0])
+    while got < need:
+        chunk = fh.read(min(need - got, _STREAM_CHUNK))
+        if not chunk:
+            raise _truncated(need, got)
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
 def load_pnm(path) -> ImageGrid:
     """Read a P5/P6 file: at most HEADER_MAX_BYTES of header, then exactly its raster.
 
     A regular file that holds fewer raster bytes than its header declares is
-    refused before the raster is allocated. The raster is read straight into
-    the grid's own array; bytes after it are not read.
+    refused before the raster is allocated, and its raster is read straight
+    into the grid's own array. Any other input (a pipe, a device) is read in
+    chunks, so a header that claims more than arrives is refused at the end
+    of the stream. Bytes after the raster are not read.
     """
     with open(path, "rb") as fh:
         head = fh.read(HEADER_MAX_BYTES)
         side, channels, start = _parse_header(head, HEADER_MAX_BYTES)
         need = side * side * channels
         info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size - start < need:
+        if not stat.S_ISREG(info.st_mode):
+            raster = _read_stream(fh, head[start:], need)
+            px = np.frombuffer(raster, dtype=np.uint8)
+            return ImageGrid._own(px.reshape(_shape(side, channels)))
+        if info.st_size - start < need:
             raise _truncated(need, info.st_size - start)
         px = np.empty(need, dtype=np.uint8)
         filled = min(need, len(head) - start)

@@ -6,16 +6,19 @@ x is the row index, y is the column index, both zero-based, and the pixel at
 scrambling collapses t applications into a single matrix power, then performs
 one permutation pass, which is identical to t sequential passes.
 
-scramble and unscramble are one pass (_pass) through a cached flat index.
-unscramble gathers each pixel back through the index of M^t; a gray
-scramble gathers through the index of M^-t, and an RGB scramble scatters
-through the index of M^t. Only the indexes of the last (matrix, n) are kept,
-in the smallest unsigned dtype that holds n*n - 1, and they never leave this
-module; a pass hands them to NumPy one block at a time. From _SPLIT_PIXELS
-pixels on a pass is split into one contiguous part per usable CPU, each extra
-part on a thread started and joined inside the call; NumPy releases the GIL
-while it copies, so the parts run at once. The grid a pass returns wraps the
-array the pass allocated, with no further copy.
+scramble and unscramble are one pass (_pass) through a cached flat index,
+and only the indexes of the last (matrix, n) are kept; they never leave this
+module. unscramble gathers each pixel back through the index of M^t. Below
+_SPLIT_PIXELS pixels that index is intp, the only one a key needs, and
+scramble scatters through it. From _SPLIT_PIXELS on, a pass is split into
+one contiguous part per usable CPU, each extra part on a thread started and
+joined inside the call (NumPy releases the GIL while it copies, so the parts
+run at once), and the indexes are compact: the smallest unsigned dtype that
+holds n*n - 1, handed to NumPy one block at a time. There a gray scramble
+gathers through the index of M^-t, and an RGB scramble still scatters
+through the index of M^t. Either way a key holds at most 8 bytes of index
+per pixel. The grid a pass returns wraps the array the pass allocated, with
+no further copy.
 """
 
 import functools
@@ -144,28 +147,30 @@ _index_lock = threading.Lock()
 
 
 def _index_dtype(n: int) -> np.dtype:
-    """The smallest unsigned dtype that holds n*n - 1: uint32 up to n = 65536."""
-    fits = n * n - 1 <= np.iinfo(np.uint32).max
-    return np.dtype(np.uint32 if fits else np.uint64)
+    """intp below _SPLIT_PIXELS pixels; from there the smallest unsigned dtype
+    that holds n*n - 1, which is uint32 up to n = 65536."""
+    nn = n * n
+    if nn < _SPLIT_PIXELS:
+        return np.dtype(np.intp)
+    return np.dtype(np.uint32 if nn - 1 <= np.iinfo(np.uint32).max else np.uint64)
 
 
-def _build_index(matrix: Entries, n: int, dtype=None) -> np.ndarray:
+def _build_index(matrix: Entries, n: int) -> np.ndarray:
     """Flat destination x'*n + y' of every source pixel x*n + y, built in row blocks.
 
-    The index has dtype, by default _index_dtype(n). Each row block is an
-    outer sum of per-axis residues, reduced by one unsigned wrap: for v in
-    [0, 2m), min(v, v - m) is v mod m, because v - m wraps round to a huge
-    value when v < m. The sums are taken in dtype when 2m fits in it, else
-    in uint64.
+    The index has dtype _index_dtype(n). Each row block is an outer sum of
+    per-axis residues, reduced by one unsigned wrap: for v in [0, 2m),
+    min(v, v - m) is v mod m, because v - m wraps round to a huge value
+    when v < m. The sums are taken in uint32 when 2m fits in it, else in
+    uint64.
     """
     a, b, c, d = matrix
     nn = n * n
-    dtype = _index_dtype(n) if dtype is None else np.dtype(dtype)
-    work = dtype.type if 2 * nn <= np.iinfo(dtype).max + 1 else np.uint64
+    work = np.uint32 if 2 * nn <= 2**32 else np.uint64
     r = np.arange(n, dtype=work)
     ax, by = (coef * r % n * n for coef in (work(a), work(b)))  # x' terms, times n
     cx, dy = (coef * r % n for coef in (work(c), work(d)))
-    index = np.empty(nn, dtype=dtype)
+    index = np.empty(nn, dtype=_index_dtype(n))
     rows = max(1, _BLOCK // n)
     xs, ys, spare = (np.empty((rows, n), dtype=work) for _ in range(3))
     for x0 in range(0, n, rows):
@@ -187,9 +192,10 @@ def _cached_index(matrix: Entries, n: int, inverse: bool = False) -> np.ndarray:
     undoes that move. Only the indexes of the last (matrix, n) are kept, so
     a key that scrambles many images, or scrambles and then unscrambles,
     builds each direction once; a new (matrix, n) drops both before it
-    builds anything. Each index is held in _index_dtype(n), so both
-    directions together take 8 bytes per pixel up to n = 65536, as much as
-    one intp index. A pass hands NumPy one _BLOCK of it at a time.
+    builds anything. Each index is held in _index_dtype(n): below
+    _SPLIT_PIXELS a pass asks only for the forward intp index (8 bytes per
+    pixel), and from there both compact directions together take 8 bytes
+    per pixel up to n = 65536.
     """
     global _last_indexes
     with _index_lock:
@@ -213,13 +219,17 @@ def _flat(pixels: np.ndarray) -> np.ndarray:
     return pixels.reshape(-1)
 
 
-#: Pixels from which a pass is split into one part per usable CPU: N >= 1449.
-#: Measured with the earlier whole-index scatter on a 2-CPU Xeon (medians of
-#: 31 interleaved runs): two parts lost at N = 1031 gray (scatter 3.1 -> 3.5
-#: ms) and won at N = 2048 RGB (scatter 40 -> 22 ms, gather 61 -> 34 ms) and
-#: N = 4096 gray (scatter 156 -> 81 ms). With the blocked passes the same
-#: host, in a phase where the second CPU was busy, timed one and two parts
-#: alike at N = 1031 gray, 2048 RGB and 4096 gray; not re-measured otherwise.
+#: Pixels from which a pass is split into one part per usable CPU and the
+#: indexes are compact: N >= 1449. Medians of 21 interleaved warm passes on
+#: a 2-vCPU Xeon VM, two sessions, scramble + unscramble in ms. Against one
+#: intp index in one part, compact indexes in two parts lose on gray at
+#: N = 1031 (3.9-4.2 -> 4.5-5.0; RGB 15.7-16.1 -> 14.4-15.8) and win from
+#: 1449 (gray 14.9-17.5 -> 14.7-16.4, and scramble alone 9.4-10.8 -> 7.5-8.3;
+#: at 2048 gray scramble 19.4-23.4 -> 13.2-19.0). Two parts against one, both
+#: compact, were level from 1031 to 2048 in both sessions; at 4096 they were
+#: level on gray and won on RGB (460 -> 161 ms scramble, 462 -> 312 ms
+#: unscramble). An earlier session on the same host had two parts win at
+#: 2048 RGB (40 -> 22 ms), so the split stays at this size.
 _SPLIT_PIXELS = 1 << 21
 
 
@@ -263,34 +273,45 @@ def _run_parts(work, total: int) -> None:
         raise errors[0]
 
 
-# _scatter and _gather hand np.put and np.take one _BLOCK of the compact
-# index at a time. NumPy converts that block to intp (and np.put copies the
-# read-only block of the source it moves), so a pass allocates O(_BLOCK)
-# besides its output; handed the whole index, it converts all of it on every
-# call. mode="clip" lets np.put and np.take write in place ("raise" makes
-# them buffer the output); a permutation index never clips.
+# NumPy converts an index that is not intp to intp, so a compact index goes
+# to np.take and np.put one _BLOCK at a time and a pass allocates O(_BLOCK)
+# besides its output; handed whole, it would be converted whole on every
+# call. np.put also copies the read-only source it is given, so RGB goes one
+# block at a time through an intp index too. mode="clip" lets np.put and
+# np.take write in place ("raise" makes them buffer the output); a
+# permutation index never clips.
 
 
 def _scatter(src: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """out[index[i]] = src[i] for every pixel i, by np.put one block at a time."""
-    out = np.empty_like(src)
+    """out[index[i]] = src[i] for every pixel i.
 
-    def part(lo, hi):
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
-            np.put(out, index[start:stop], src[start:stop], mode="clip")
+    Gray pixels, which scatter only through an intp index, go by fancy
+    assignment: 3.6 ms against 7.8 ms for np.put at N = 1031 (2-CPU Xeon).
+    RGB pixels go by np.put, one block at a time.
+    """
+    out = np.empty_like(src)
+    if src.itemsize == 1:
+        def part(lo, hi):
+            out[index[lo:hi]] = src[lo:hi]
+    else:
+        def part(lo, hi):
+            for start in range(lo, hi, _BLOCK):
+                stop = min(start + _BLOCK, hi)
+                np.put(out, index[start:stop], src[start:stop], mode="clip")
 
     _run_parts(part, src.size)
     return out
 
 
 def _gather(src: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """out[i] = src[index[i]] for every pixel i, by np.take one block at a time."""
+    """out[i] = src[index[i]] for every pixel i, by np.take: a compact index
+    one block at a time, an intp index whole."""
     out = np.empty_like(src)
+    step = src.size if index.dtype == np.intp else _BLOCK
 
     def part(lo, hi):
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
             np.take(src, index[start:stop], out=out[start:stop], mode="clip")
 
     _run_parts(part, src.size)
@@ -300,10 +321,12 @@ def _gather(src: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _pass(img: ImageGrid, key: ScrambleKey, forward: bool) -> ImageGrid:
     """Move img's pixels by M^t (forward, scramble) or back (unscramble).
 
-    Every pass gathers but one: unscramble gathers through the index of M^t,
-    and a gray scramble through the index of M^-t. An RGB scramble scatters
-    through the index of M^t, because np.put moves 3-byte pixels faster than
-    np.take (28-51 against 49-113 ms at N = 2048 on a 2-CPU Xeon).
+    unscramble gathers through the index of M^t. Below _SPLIT_PIXELS, where
+    that intp index is the only one, scramble scatters through it; from
+    there a gray scramble gathers through the index of M^-t, and an RGB
+    scramble still scatters through M^t, because np.put moves 3-byte pixels
+    faster than np.take (28-51 against 49-113 ms at N = 2048 on a 2-CPU
+    Xeon).
     """
     if img.side != key.n:
         raise GridShapeError(
@@ -315,7 +338,7 @@ def _pass(img: ImageGrid, key: ScrambleKey, forward: bool) -> ImageGrid:
     src = _flat(img.pixels)
     if not forward:
         out = _gather(src, _cached_index(matrix, key.n))
-    elif src.itemsize == 1:
+    elif src.itemsize == 1 and src.size >= _SPLIT_PIXELS:
         out = _gather(src, _cached_index(matrix, key.n, inverse=True))
     else:
         out = _scatter(src, _cached_index(matrix, key.n))

@@ -274,3 +274,27 @@ def test_load_pnm_reads_a_pipe_to_the_end_of_its_raster(tmp_path, missing):
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_that_claims_a_huge_raster_is_refused_at_its_end(tmp_path, capsys):
+    # 10**18 raster bytes declared, 5 sent: nothing that size may be allocated
+    side = 10**9
+    fifo = tmp_path / "in.pgm"
+    os.mkfifo(fifo)
+    write_key_file(tmp_path / "k.json", ScrambleKey(make_arnold(), 40, 1))
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(b"P5 %d %d 255\n" % (side, side) + bytes(5))
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        rc = main(["scramble", str(fifo), str(tmp_path / "k.json"), str(tmp_path / "out.pgm")])
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert rc == 2
+    assert f"truncated pixel data: expected {side * side} bytes, got 5" in capsys.readouterr().err
+    assert not (tmp_path / "out.pgm").exists()

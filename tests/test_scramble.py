@@ -431,18 +431,24 @@ def test_index_built_in_row_blocks_matches_the_oracle(monkeypatch, block):
     assert np.array_equal(module._build_index(vm.reduced, 13), _oracle_destinations(vm, 1))
 
 
-def test_index_dtype_is_the_smallest_that_holds_every_pixel():
+def test_index_dtype_is_intp_below_the_split_and_compact_from_it():
     index_dtype = importlib.import_module("modscramble.scramble")._index_dtype
-    assert index_dtype(2) == np.uint32
+    assert index_dtype(2) == np.intp
+    assert index_dtype(1448) == np.intp  # 1448**2 < 2**21 <= 1449**2
+    assert index_dtype(1449) == np.uint32
     assert index_dtype(65536) == np.uint32  # 65536**2 - 1 == 2**32 - 1
     assert index_dtype(65537) == np.uint64
 
 
 @pytest.mark.parametrize("n", [2, 13, 64, 101])
-def test_a_uint64_build_equals_a_uint32_build(n):
-    build = importlib.import_module("modscramble.scramble")._build_index
+def test_a_uint64_build_equals_a_uint32_build(monkeypatch, n):
+    module = importlib.import_module("modscramble.scramble")
     vm = validate(make_flt(F.FIB32, 3), n)
-    wide, narrow = build(vm.reduced, n, np.uint64), build(vm.reduced, n, np.uint32)
+    builds = []
+    for dtype in (np.uint64, np.uint32):
+        monkeypatch.setattr(module, "_index_dtype", lambda n, dtype=dtype: np.dtype(dtype))
+        builds.append(module._build_index(vm.reduced, n))
+    wide, narrow = builds
     assert wide.dtype == np.uint64 and narrow.dtype == np.uint32
     assert np.array_equal(wide, narrow)
     assert np.array_equal(narrow, _oracle_destinations(vm, 1))
@@ -457,12 +463,15 @@ def test_cached_index_is_reused():
     assert np.array_equal(forward[inverse], np.arange(64))  # the two directions undo each other
 
 
-def test_at_most_one_index_is_held():
-    # both directions of the last key at most, in 8 bytes per pixel together
+def test_at_most_one_index_is_held(monkeypatch):
+    # both directions of the last key at most, in 8 bytes per pixel together:
+    # one intp index below _SPLIT_PIXELS, two compact ones from there
     module = importlib.import_module("modscramble.scramble")
     rng = np.random.default_rng(3)
     alive = []
-    for step in range(24):
+    for step in range(48):
+        if step == 24:
+            monkeypatch.setattr(module, "_SPLIT_PIXELS", 1)
         n = int(rng.integers(2, 24))
         key = ScrambleKey(_random_invertible(rng, n).map, n, int(rng.integers(1, 9)))
         img = (random_gray, random_rgb)[step % 2](n, seed=n)
@@ -645,25 +654,31 @@ def test_public_image_grid_keeps_its_own_copy():
 
 
 @pytest.mark.parametrize("make_image", [random_gray, random_rgb], ids=["gray", "rgb"])
-def test_a_pass_allocates_less_than_a_copy_of_the_index(make_image):
-    # NumPy converts one _BLOCK of the compact index to intp at a time (8
-    # bytes an entry), and np.put copies one read-only _BLOCK of RGB source
-    # (3 bytes a pixel): a pass allocates its output and 11 _BLOCKs more,
-    # which at this size is below one compact index.
+def test_a_pass_allocates_less_than_a_copy_of_the_index(monkeypatch, make_image):
+    # Per part, NumPy converts one _BLOCK of a compact index to intp at a
+    # time (8 bytes an entry), and np.put copies one read-only _BLOCK of RGB
+    # source (3 bytes a pixel): a pass allocates its output and 11 _BLOCKs
+    # more per part. At this size that is below one compact index, both for
+    # the one intp index of a single part and for two compact indexes in two.
     module = importlib.import_module("modscramble.scramble")
+    monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
     n = 1024
     img = make_image(n, seed=5)
     key = ScrambleKey(make_flt(F.FIB11, 6), n, 20)
-    unscramble(scramble(img, key), key)  # builds both directions
-    bound = img.pixels.nbytes + 12 * module._BLOCK
-    assert bound < module._index_dtype(n).itemsize * n * n
-    tracemalloc.start()
-    try:
-        for run in (scramble, unscramble):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            out = run(img, key)
-            assert tracemalloc.get_traced_memory()[1] - before < bound
-            del out
-    finally:
-        tracemalloc.stop()
+    for threshold, parts, dtype in ((n * n + 1, 1, np.intp), (n * n, 2, np.uint32)):
+        monkeypatch.setattr(module, "_SPLIT_PIXELS", threshold)
+        monkeypatch.setattr(module, "_last_indexes", None)
+        unscramble(scramble(img, key), key)  # builds every index a pass uses
+        assert all(index is None or index.dtype == dtype for index in module._last_indexes[1])
+        bound = img.pixels.nbytes + 12 * module._BLOCK * parts
+        assert bound < 4 * n * n  # one uint32 index
+        tracemalloc.start()
+        try:
+            for run in (scramble, unscramble):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = run(img, key)
+                assert tracemalloc.get_traced_memory()[1] - before < bound
+                del out
+        finally:
+            tracemalloc.stop()
