@@ -8,17 +8,16 @@ one permutation pass, which is identical to t sequential passes.
 
 scramble and unscramble are one pass (_pass) through a cached flat index,
 and only the indexes of the last (matrix, n) are kept; they never leave this
-module. unscramble gathers each pixel back through the index of M^t. Below
-_SPLIT_PIXELS pixels that index is intp, the only one a key needs, and
-scramble scatters through it. From _SPLIT_PIXELS on, a pass is split into
-one contiguous part per usable CPU, each extra part on a thread started and
-joined inside the call (NumPy releases the GIL while it copies, so the parts
-run at once), and the indexes are compact: the smallest unsigned dtype that
-holds n*n - 1, handed to NumPy one block at a time. There a gray scramble
-gathers through the index of M^-t, and an RGB scramble still scatters
-through the index of M^t. Either way a key holds at most 8 bytes of index
-per pixel. The grid a pass returns wraps the array the pass allocated, with
-no further copy.
+module. Below _SPLIT_PIXELS pixels a key needs one index, of M^t, in intp:
+scramble scatters through it and unscramble gathers through it. From
+_SPLIT_PIXELS on, a pass is split into one contiguous part per usable CPU,
+each extra part on a thread started and joined inside the call (NumPy
+releases the GIL while it copies, so the parts run at once), and the
+indexes are compact: the smallest unsigned dtype that holds n*n - 1, handed
+to NumPy one block at a time. There gray pixels gather and RGB pixels
+scatter in both directions, through the index of M^t or of M^-t. Either way
+a key holds at most 8 bytes of index per pixel. The grid a pass returns
+wraps the array the pass allocated, with no further copy.
 """
 
 import functools
@@ -321,12 +320,13 @@ def _gather(src: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _pass(img: ImageGrid, key: ScrambleKey, forward: bool) -> ImageGrid:
     """Move img's pixels by M^t (forward, scramble) or back (unscramble).
 
-    unscramble gathers through the index of M^t. Below _SPLIT_PIXELS, where
-    that intp index is the only one, scramble scatters through it; from
-    there a gray scramble gathers through the index of M^-t, and an RGB
-    scramble still scatters through M^t, because np.put moves 3-byte pixels
-    faster than np.take (28-51 against 49-113 ms at N = 2048 on a 2-CPU
-    Xeon).
+    Below _SPLIT_PIXELS the key's one intp index, of M^t, serves both:
+    scramble scatters through it and unscramble gathers through it. From
+    there gray pixels always gather and RGB pixels always scatter, through
+    the index of M^-t or of M^t as the direction needs: np.take moves 1-byte
+    pixels faster than a scatter does, and np.put moves 3-byte pixels faster
+    than np.take (RGB unscramble 25-27 against 37-40 ms at N = 2048 inside
+    the bulk-images benchmark, 2-vCPU Xeon VM).
     """
     if img.side != key.n:
         raise GridShapeError(
@@ -336,12 +336,13 @@ def _pass(img: ImageGrid, key: ScrambleKey, forward: bool) -> ImageGrid:
     if matrix == IDENTITY:
         return img
     src = _flat(img.pixels)
-    if not forward:
-        out = _gather(src, _cached_index(matrix, key.n))
-    elif src.itemsize == 1 and src.size >= _SPLIT_PIXELS:
-        out = _gather(src, _cached_index(matrix, key.n, inverse=True))
+    if src.size < _SPLIT_PIXELS:
+        index = _cached_index(matrix, key.n)
+        out = _scatter(src, index) if forward else _gather(src, index)
+    elif src.itemsize == 1:
+        out = _gather(src, _cached_index(matrix, key.n, inverse=forward))
     else:
-        out = _scatter(src, _cached_index(matrix, key.n))
+        out = _scatter(src, _cached_index(matrix, key.n, inverse=not forward))
     return ImageGrid._own(out.view(np.uint8).reshape(img.pixels.shape))
 
 
@@ -415,9 +416,10 @@ def plan_unscramble(vm: ValidatedMap, iterations: int) -> RoutePlan:
 def unscramble(img: ImageGrid, key: ScrambleKey) -> ImageGrid:
     """Exact inverse of scramble with the same key: out[x, y] = in[M^t (x, y)].
 
-    It gathers through the cached index of M^t, so it needs only M^t: no
-    period and no inverse matrix. The paper's two routes, iterating the map
-    period - t more times or the inverse map t times, give the same
-    permutation; plan_unscramble reports their costs.
+    It moves pixels through the cached index of M^t (from _SPLIT_PIXELS RGB
+    pixels, of its 2x2 inverse M^-t), so it never needs the period. The
+    paper's two routes, iterating the map period - t more times or the
+    inverse map t times, give the same permutation; plan_unscramble reports
+    their costs.
     """
     return _pass(img, key, forward=False)
