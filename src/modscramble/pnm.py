@@ -9,9 +9,9 @@ Canonical writer output, byte for byte:
 
 The reader accepts any whitespace between header tokens and '#' comments
 through the end of the line; comments are never emitted on write. Bytes
-after the raster are ignored. read_pnm and load_pnm share one header parser;
-load_pnm reads at most HEADER_MAX_BYTES of header from its file and then
-exactly the raster the header declares.
+after the raster are ignored. read_pnm and load_pnm share one header parser,
+which refuses a side above SIDE_BOUND; load_pnm reads at most
+HEADER_MAX_BYTES of header and then exactly the raster the header declares.
 """
 
 import os
@@ -20,7 +20,7 @@ import stat
 import numpy as np
 
 from .errors import PnmFormatError, clip
-from .scramble import ImageGrid
+from .scramble import SIDE_BOUND, ImageGrid
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -95,6 +95,8 @@ def _parse_header(data: bytes, bound: int | None = None) -> tuple[int, int, int]
         raise PnmFormatError(
             f"image is {width} wide x {height} high; a square image is required"
         )
+    if width > SIDE_BOUND:
+        raise PnmFormatError(f"image side {width} is above the side bound of {SIDE_BOUND}")
     # Exactly one whitespace byte separates the header from the raster.
     if offset >= len(data):
         raise ended("missing whitespace after maxval")
@@ -157,11 +159,11 @@ def _read_stream(fh, head: bytes, need: int) -> bytes:
 def load_pnm(path) -> ImageGrid:
     """Read a P5/P6 file: at most HEADER_MAX_BYTES of header, then exactly its raster.
 
-    A regular file that holds fewer raster bytes than its header declares is
-    refused before the raster is allocated, and its raster is read straight
-    into the grid's own array. Any other input (a pipe, a device) is read in
-    chunks, so a header that claims more than arrives is refused at the end
-    of the stream. Bytes after the raster are not read.
+    A side above SIDE_BOUND is refused from the header read alone. A regular
+    file that holds fewer raster bytes than its header declares is refused
+    before the raster is allocated, else its raster is read with one call.
+    Any other input (a pipe, a device) is read in chunks, so a header that
+    claims more than arrives is refused at the end of the stream.
     """
     with open(path, "rb") as fh:
         head = fh.read(HEADER_MAX_BYTES)
@@ -170,18 +172,14 @@ def load_pnm(path) -> ImageGrid:
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode):
             raster = _read_stream(fh, head[start:], need)
-            px = np.frombuffer(raster, dtype=np.uint8)
-            return ImageGrid._own(px.reshape(_shape(side, channels)))
-        if info.st_size - start < need:
+        elif info.st_size - start < need:
             raise _truncated(need, info.st_size - start)
-        px = np.empty(need, dtype=np.uint8)
-        filled = min(need, len(head) - start)
-        px[:filled] = np.frombuffer(head, dtype=np.uint8, count=filled, offset=start)
-        while filled < need:
-            got = fh.readinto(memoryview(px)[filled:])
-            if not got:
-                raise _truncated(need, filled)
-            filled += got
+        else:
+            fh.seek(start)
+            raster = fh.read(need)
+            if len(raster) < need:  # the file shrank after its size was read
+                raise _truncated(need, len(raster))
+    px = np.frombuffer(raster, dtype=np.uint8)
     return ImageGrid._own(px.reshape(_shape(side, channels)))
 
 

@@ -13,11 +13,11 @@ scramble scatters through it and unscramble gathers through it. From
 _SPLIT_PIXELS on, a pass is split into one contiguous part per usable CPU,
 each extra part on a thread started and joined inside the call (NumPy
 releases the GIL while it copies, so the parts run at once), and the
-indexes are compact: the smallest unsigned dtype that holds n*n - 1, handed
-to NumPy one block at a time. There gray pixels gather and RGB pixels
-scatter in both directions, through the index of M^t or of M^-t. Either way
-a key holds at most 8 bytes of index per pixel. The grid a pass returns
-wraps the array the pass allocated, with no further copy.
+indexes are uint32 (a side is at most SIDE_BOUND), handed to NumPy one
+block at a time. There gray pixels gather and RGB pixels scatter in both
+directions, through the index of M^t or of M^-t. Either way a key holds at
+most 8 bytes of index per pixel. The grid a pass returns wraps the array
+the pass allocated, with no further copy.
 """
 
 import functools
@@ -40,9 +40,14 @@ from .maps import (
 )
 
 
+#: Largest image side, isqrt(2**31): 2 * N^2 <= 2**32, so an index and the sums
+#: that build it fit in uint32. A longer side is refused before pixels move.
+SIDE_BOUND = 46340
+
+
 @dataclass(frozen=True, eq=False)
 class ImageGrid:
-    """Square N x N grid of 8-bit pixels, N >= 1, grayscale (N, N) or RGB (N, N, 3).
+    """Square N x N grid of 8-bit pixels, 1 <= N <= SIDE_BOUND, grayscale (N, N) or RGB (N, N, 3).
 
     The public constructor checks the array and keeps a read-only copy, so
     the caller may go on changing its own array. The library wraps arrays
@@ -66,6 +71,8 @@ class ImageGrid:
             raise GridShapeError(f"image is {h} rows x {w} columns; a square image is required")
         if h == 0:
             raise GridShapeError("image is empty; a side of at least 1 is required")
+        if h > SIDE_BOUND:
+            raise GridShapeError(f"image side {h} is above the side bound of {SIDE_BOUND}")
         px = px.copy()
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
@@ -146,12 +153,8 @@ _index_lock = threading.Lock()
 
 
 def _index_dtype(n: int) -> np.dtype:
-    """intp below _SPLIT_PIXELS pixels; from there the smallest unsigned dtype
-    that holds n*n - 1, which is uint32 up to n = 65536."""
-    nn = n * n
-    if nn < _SPLIT_PIXELS:
-        return np.dtype(np.intp)
-    return np.dtype(np.uint32 if nn - 1 <= np.iinfo(np.uint32).max else np.uint64)
+    """intp below _SPLIT_PIXELS pixels, uint32 from there."""
+    return np.dtype(np.intp if n * n < _SPLIT_PIXELS else np.uint32)
 
 
 def _build_index(matrix: Entries, n: int) -> np.ndarray:
@@ -160,26 +163,25 @@ def _build_index(matrix: Entries, n: int) -> np.ndarray:
     The index has dtype _index_dtype(n). Each row block is an outer sum of
     per-axis residues, reduced by one unsigned wrap: for v in [0, 2m),
     min(v, v - m) is v mod m, because v - m wraps round to a huge value
-    when v < m. The sums are taken in uint32 when 2m fits in it, else in
-    uint64.
+    when v < m. The sums are taken in uint32, which holds 2m for every side
+    up to SIDE_BOUND.
     """
     a, b, c, d = matrix
     nn = n * n
-    work = np.uint32 if 2 * nn <= 2**32 else np.uint64
-    r = np.arange(n, dtype=work)
-    ax, by = (coef * r % n * n for coef in (work(a), work(b)))  # x' terms, times n
-    cx, dy = (coef * r % n for coef in (work(c), work(d)))
+    r = np.arange(n, dtype=np.uint32)
+    ax, by = (coef * r % n * n for coef in (np.uint32(a), np.uint32(b)))  # x' terms, times n
+    cx, dy = (coef * r % n for coef in (np.uint32(c), np.uint32(d)))
     index = np.empty(nn, dtype=_index_dtype(n))
     rows = max(1, _BLOCK // n)
-    xs, ys, spare = (np.empty((rows, n), dtype=work) for _ in range(3))
+    xs, ys, spare = (np.empty((rows, n), dtype=np.uint32) for _ in range(3))
     for x0 in range(0, n, rows):
         block = index[x0 * n : (x0 + rows) * n].reshape(-1, n)
         k = block.shape[0]
         xp, yp, tmp = xs[:k], ys[:k], spare[:k]
         np.add.outer(ax[x0 : x0 + k], by, out=xp)
-        np.minimum(xp, np.subtract(xp, work(nn), out=tmp), out=xp)
+        np.minimum(xp, np.subtract(xp, np.uint32(nn), out=tmp), out=xp)
         np.add.outer(cx[x0 : x0 + k], dy, out=yp)
-        np.minimum(yp, np.subtract(yp, work(n), out=tmp), out=yp)
+        np.minimum(yp, np.subtract(yp, np.uint32(n), out=tmp), out=yp)
         np.add(xp, yp, out=block)
     return index
 
@@ -193,8 +195,8 @@ def _cached_index(matrix: Entries, n: int, inverse: bool = False) -> np.ndarray:
     builds each direction once; a new (matrix, n) drops both before it
     builds anything. Each index is held in _index_dtype(n): below
     _SPLIT_PIXELS a pass asks only for the forward intp index (8 bytes per
-    pixel), and from there both compact directions together take 8 bytes
-    per pixel up to n = 65536.
+    pixel), and from there both uint32 directions together take 8 bytes per
+    pixel.
     """
     global _last_indexes
     with _index_lock:

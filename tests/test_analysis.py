@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -288,6 +289,18 @@ def test_commuting_maps_of_equal_order_are_still_told_apart_by_their_groups(monk
     # diagonal matrices commute; diag(5, 1) = diag(3, 1)^5, and diag(1, 3) is not a power
     assert cyclic_classes([d31, d13, d51], 7).classes == ((d31.label, d51.label), (d13.label,))
     assert len(products) > 2 * 2  # more than the two commutation checks
+
+
+def test_commuting_maps_of_huge_equal_order_are_refused_before_the_baby_steps():
+    n = 4294967291
+    a = make_raw(10, 5, 1, 1)
+    b = make_raw(*mat_mul_mod(a.entries, a.entries, n))
+    assert period(validate(a, n)) == period(validate(b, n)) == 768614334614994945
+    start = time.perf_counter()
+    with pytest.raises(WorkBoundError, match="needs 876706528 baby steps, above the work bound of 1048576"):
+        cyclic_classes([a, b], n)
+    assert time.perf_counter() - start < 1
+    assert analysis.CYCLIC_STEPS_BOUND == 1 << 20
 
 
 def test_a_constant_grid_gets_the_matrix_classes(monkeypatch):

@@ -22,7 +22,8 @@ from modscramble import (
 from modscramble import SequenceFamily as F
 from modscramble.cli import main
 from modscramble.keyfile import write_key_file
-from modscramble.pnm import HEADER_MAX_BYTES, load_pnm, save_pnm
+from modscramble.pnm import HEADER_MAX_BYTES, _parse_header, load_pnm, save_pnm
+from modscramble.scramble import SIDE_BOUND
 
 from conftest import grid, random_gray, random_rgb
 
@@ -221,11 +222,11 @@ def test_load_pnm_reads_what_read_pnm_reads(tmp_path, n, channels):
 
 
 def test_a_raster_larger_than_its_file_is_refused_before_it_is_allocated(tmp_path):
-    (tmp_path / "big.pgm").write_bytes(b"P5 50000 50000 255\n" + bytes(100))
+    (tmp_path / "big.ppm").write_bytes(b"P6 46340 46340 255\n" + bytes(100))  # the largest side
     tracemalloc.start()
     try:
-        with pytest.raises(PnmFormatError, match="expected 2500000000 bytes, got 100"):
-            load_pnm(tmp_path / "big.pgm")
+        with pytest.raises(PnmFormatError, match="expected 6442186800 bytes, got 100"):
+            load_pnm(tmp_path / "big.ppm")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -278,15 +279,16 @@ def test_load_pnm_reads_a_pipe_to_the_end_of_its_raster(tmp_path, missing):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_pipe_that_claims_a_huge_raster_is_refused_at_its_end(tmp_path, capsys):
-    # 10**18 raster bytes declared, 5 sent: nothing that size may be allocated
-    side = 10**9
-    fifo = tmp_path / "in.pgm"
+    # 6,442,186,800 raster bytes declared at the largest side, 5 sent: nothing
+    # that size may be allocated
+    side = SIDE_BOUND
+    fifo = tmp_path / "in.ppm"
     os.mkfifo(fifo)
     write_key_file(tmp_path / "k.json", ScrambleKey(make_arnold(), 40, 1))
 
     def write():
         with open(fifo, "wb") as fh:
-            fh.write(b"P5 %d %d 255\n" % (side, side) + bytes(5))
+            fh.write(b"P6 %d %d 255\n" % (side, side) + bytes(5))
 
     writer = threading.Thread(target=write)
     writer.start()
@@ -296,5 +298,54 @@ def test_a_pipe_that_claims_a_huge_raster_is_refused_at_its_end(tmp_path, capsys
         writer.join(timeout=30)
     assert not writer.is_alive()
     assert rc == 2
-    assert f"truncated pixel data: expected {side * side} bytes, got 5" in capsys.readouterr().err
+    assert f"truncated pixel data: expected {side * side * 3} bytes, got 5" in capsys.readouterr().err
     assert not (tmp_path / "out.pgm").exists()
+
+
+def test_a_header_side_above_the_bound_is_refused():
+    with pytest.raises(PnmFormatError, match=f"image side 46341 is above the side bound of {SIDE_BOUND}"):
+        _parse_header(b"P5 46341 46341 255\n")
+    assert _parse_header(b"P6 46340 46340 255\n") == (SIDE_BOUND, 3, 19)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_that_streams_a_raster_past_the_side_bound_is_refused_at_its_header(tmp_path, capsys):
+    # the header declares 10**10 bytes and the writer sends zeros until the pipe closes
+    fifo = tmp_path / "in.pgm"
+    os.mkfifo(fifo)
+    write_key_file(tmp_path / "k.json", ScrambleKey(make_arnold(), 4, 1))
+    sent = []
+
+    def write():
+        try:
+            with open(fifo, "wb", buffering=0) as fh:
+                fh.write(b"P5 100000 100000 255\n")
+                while True:
+                    sent.append(fh.write(bytes(1 << 16)))
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        rc = main(["scramble", str(fifo), str(tmp_path / "k.json"), str(tmp_path / "out.pgm")])
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert rc == 2
+    assert "image side 100000 is above the side bound" in capsys.readouterr().err
+    assert sum(sent) < 1 << 20  # the reader stopped at its header read
+    assert not (tmp_path / "out.pgm").exists()
+
+
+def test_load_pnm_reads_a_regular_raster_with_no_second_copy(tmp_path):
+    img = random_rgb(2048, seed=12)
+    save_pnm(tmp_path / "in.ppm", img)
+    tracemalloc.start()
+    try:
+        loaded = load_pnm(tmp_path / "in.ppm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == img
+    assert peak < 1.1 * img.pixels.nbytes

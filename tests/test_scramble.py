@@ -1,4 +1,5 @@
 import importlib
+import math
 import sys
 import threading
 import time
@@ -34,7 +35,7 @@ from modscramble import (
 )
 from modscramble import maps as maps_module
 from modscramble.analysis import period_survey, standard_family_maps
-from modscramble.scramble import PERIOD_MODULUS_BOUND
+from modscramble.scramble import PERIOD_MODULUS_BOUND, SIDE_BOUND
 
 from conftest import (
     forward_route,
@@ -436,22 +437,21 @@ def test_index_dtype_is_intp_below_the_split_and_compact_from_it():
     assert index_dtype(2) == np.intp
     assert index_dtype(1448) == np.intp  # 1448**2 < 2**21 <= 1449**2
     assert index_dtype(1449) == np.uint32
-    assert index_dtype(65536) == np.uint32  # 65536**2 - 1 == 2**32 - 1
-    assert index_dtype(65537) == np.uint64
+    assert index_dtype(SIDE_BOUND) == np.uint32  # 2 * 46340**2 <= 2**32
 
 
-@pytest.mark.parametrize("n", [2, 13, 64, 101])
-def test_a_uint64_build_equals_a_uint32_build(monkeypatch, n):
-    module = importlib.import_module("modscramble.scramble")
-    vm = validate(make_flt(F.FIB32, 3), n)
-    builds = []
-    for dtype in (np.uint64, np.uint32):
-        monkeypatch.setattr(module, "_index_dtype", lambda n, dtype=dtype: np.dtype(dtype))
-        builds.append(module._build_index(vm.reduced, n))
-    wide, narrow = builds
-    assert wide.dtype == np.uint64 and narrow.dtype == np.uint32
-    assert np.array_equal(wide, narrow)
-    assert np.array_equal(narrow, _oracle_destinations(vm, 1))
+@pytest.mark.parametrize("shape", [(SIDE_BOUND + 1,) * 2, (SIDE_BOUND + 1,) * 2 + (3,)])
+def test_a_grid_side_above_the_bound_is_refused_before_its_copy(shape):
+    assert SIDE_BOUND == math.isqrt(2**31)
+    huge = np.broadcast_to(np.uint8(0), shape)  # no memory of its own
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridShapeError, match=f"image side {SIDE_BOUND + 1} is above the side bound of {SIDE_BOUND}"):
+            ImageGrid(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cached_index_is_reused():
