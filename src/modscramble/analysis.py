@@ -251,7 +251,7 @@ class _CyclicGroup:
         self.order = order
 
     @cached_property
-    def _steps(self) -> tuple[int, frozenset[Entries], Entries]:
+    def _steps(self) -> tuple[int, set[Entries], Entries]:
         vm, m = self.vm, math.isqrt(self.order - 1) + 1
         if m > CYCLIC_STEPS_BOUND:
             raise WorkBoundError(
@@ -262,7 +262,7 @@ class _CyclicGroup:
         for _ in range(m):
             baby.add(step)
             step = mat_mul_mod(step, vm.reduced, vm.n)
-        return m, frozenset(baby), power_mod(vm, self.order - m)  # giant step A^(-m)
+        return m, baby, power_mod(vm, self.order - m)  # giant step A^(-m)
 
     def generated_by(self, vm: ValidatedMap, order: int) -> bool:
         """<B> = <A> for the map B = vm of the given order: equal orders, AB = BA,

@@ -5,7 +5,7 @@ the robustness grid.
 Exit codes: 0 success, 1 usage error (including an argument the library
 refuses, such as a modulus below 2), 2 data/format error, 3 math error
 (map not invertible mod N, modulus above the period bound of 2^32, work or
-survey cell bound exceeded, overflow).
+survey cell bound exceeded, overflow, out of memory).
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -271,6 +271,10 @@ def main(argv=None) -> int:
         return 2
     except MathError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # Python's own MemoryError has no message
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

@@ -4,19 +4,8 @@ Matrix entries are exact signed integers; nothing is reduced mod N until
 :func:`validate`. A validated map carries its reduced entries and is the
 only thing the scrambling layer accepts.
 
-Variant numbering (frozen, also documented in the key-file schema):
-
-generalized Arnold, parameter k, variants 0..7::
-
-    0: (k+1, k / 1, 1)      1: (k, k+1 / 1, 1)
-    2: (k+1, 1 / k, 1)      3: (k, 1 / k+1, 1)      # transposes of 0, 1
-    4: (1, 1 / k+1, k)      5: (1, 1 / k, k+1)      # rows of 0, 1 swapped
-    6: (1, k+1 / 1, k)      7: (1, k / 1, k+1)      # transposes of 4, 5
-
-triangular, parameter k, variants 0..3::
-
-    0: (0, 1 / 1, k)        1: (k, 1 / 1, 0)
-    2: (1, 0 / k, 1)        3: (1, k / 0, 1)
+Each named family is one row of a table below: a fixed map, a k-variant form
+or a pair of series. One constructor per kind of row builds them all.
 """
 
 import math
@@ -69,97 +58,100 @@ class ValidatedMap:
     __hash__ = None
 
 
-def make_arnold() -> TransformMap:
-    return TransformMap((2, 1, 1, 1), "arnold", {}, "arnold")
+#: Maps with no parameter: family tag -> entries.
+_FIXED = {"arnold": (2, 1, 1, 1), "fibonacci-q": (1, 1, 1, 0)}
 
+#: Maps of one parameter k >= 0 in variants whose numbering is frozen: family
+#: tag -> (label stem, name in error messages, entries of each variant).
+_FORMS = {
+    "gat": ("GAT", "generalized-Arnold", {
+        0: lambda k: (k + 1, k, 1, 1),
+        1: lambda k: (k, k + 1, 1, 1),
+        2: lambda k: (k + 1, 1, k, 1),  # 2, 3: transposes of 0, 1
+        3: lambda k: (k, 1, k + 1, 1),
+        4: lambda k: (1, 1, k + 1, k),  # 4, 5: rows of 0, 1 swapped
+        5: lambda k: (1, 1, k, k + 1),
+        6: lambda k: (1, k + 1, 1, k),  # 6, 7: transposes of 4, 5
+        7: lambda k: (1, k, 1, k + 1),
+    }),
+    "triangular": ("TRI", "triangular", {
+        0: lambda k: (0, 1, 1, k),
+        1: lambda k: (k, 1, 1, 0),
+        2: lambda k: (1, 0, k, 1),
+        3: lambda k: (1, k, 0, 1),
+    }),
+}
 
-_GAT_FORMS = {
-    0: lambda k: (k + 1, k, 1, 1),
-    1: lambda k: (k, k + 1, 1, 1),
-    2: lambda k: (k + 1, 1, k, 1),
-    3: lambda k: (k, 1, k + 1, 1),
-    4: lambda k: (1, 1, k + 1, k),
-    5: lambda k: (1, 1, k, k + 1),
-    6: lambda k: (1, k + 1, 1, k),
-    7: lambda k: (1, k, 1, k + 1),
+#: Maps of one parameter i >= 1 whose rows are terms i + a, i + a + 1 of one
+#: series and i + b, i + b + 1 of another: tag -> (label stem, (top, a), (bottom, b)).
+_SERIES = {
+    "gft": ("GFT", (SequenceFamily.FIB01, 0), (SequenceFamily.FIB01, 2)),
+    "f11lt": ("F(11)LT", (SequenceFamily.FIB11, 0), (SequenceFamily.LUCAS, 0)),
+    "f32lt": ("F(32)LT", (SequenceFamily.FIB32, 0), (SequenceFamily.LUCAS, 0)),
+    "f31lt": ("F(31)LT", (SequenceFamily.FIB31, 0), (SequenceFamily.LUCAS, 0)),
 }
 
 
-def make_generalized_arnold(k: int, variant: int = 0) -> TransformMap:
-    """One of the 8 generalized-Arnold forms; see the module docstring for numbering."""
+def _fixed_map(tag: str) -> TransformMap:
+    return TransformMap(_FIXED[tag], tag, {}, tag)
+
+
+def _form_map(tag: str, k: int, variant: int) -> TransformMap:
+    stem, name, forms = _FORMS[tag]
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if variant not in _GAT_FORMS:
-        raise ValueError(f"generalized-Arnold variant must be 0..7, got {variant}")
-    entries = _GAT_FORMS[variant](k)
-    return TransformMap(
-        entries, "gat", {"k": k, "variant": variant}, f"GAT(k={k},v{variant})"
-    )
+    if variant not in forms:
+        raise ValueError(f"{name} variant must be 0..{len(forms) - 1}, got {variant}")
+    params, label = {"k": k, "variant": variant}, f"{stem}(k={k},v{variant})"
+    return TransformMap(forms[variant](k), tag, params, label)
+
+
+def _series_map(tag: str, i: int) -> TransformMap:
+    """(S_i+a, S_i+a+1 / T_i+b, T_i+b+1) for the row's series S, T and shifts a, b.
+
+    Index 3 of f11lt is excluded in the source construction but is still
+    unimodular, so it is built with a warning flag rather than refused.
+    """
+    stem, (top, a), (bottom, b) = _SERIES[tag]
+    if i < 1:
+        raise ValueError(f"i must be >= 1, got {i}")
+    largest = min(max_index(top) - a, max_index(bottom) - b) - 1
+    if i > largest:
+        raise ParameterOverflowError(tag, i, largest)
+    entries = (term(top, i + a), term(top, i + a + 1),
+               term(bottom, i + b), term(bottom, i + b + 1))
+    excluded = tag == "f11lt" and i == 3
+    warning = "index 3 of the 1,1-seeded series is excluded by convention" if excluded else None
+    return TransformMap(entries, tag, {"i": i}, f"{stem}_{i}", warning)
+
+
+def make_arnold() -> TransformMap:
+    return _fixed_map("arnold")
+
+
+def make_generalized_arnold(k: int, variant: int = 0) -> TransformMap:
+    """One of the 8 generalized-Arnold forms; see _FORMS for numbering."""
+    return _form_map("gat", k, variant)
 
 
 def make_fibonacci_q() -> TransformMap:
-    return TransformMap((1, 1, 1, 0), "fibonacci-q", {}, "fibonacci-q")
+    return _fixed_map("fibonacci-q")
 
 
 def make_gft(i: int) -> TransformMap:
     """Four consecutive 0,1-seeded Fibonacci terms: (F_i, F_i+1 / F_i+2, F_i+3)."""
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
-    f = SequenceFamily.FIB01
-    if i > max_index(f) - 3:
-        raise ParameterOverflowError("gft", i, max_index(f) - 3)
-    entries = (term(f, i), term(f, i + 1), term(f, i + 2), term(f, i + 3))
-    return TransformMap(entries, "gft", {"i": i}, f"GFT_{i}")
-
-
-#: Family tag and label stem of each Fibonacci-Lucas series.
-_FLT = {
-    SequenceFamily.FIB11: ("f11lt", "F(11)LT"),
-    SequenceFamily.FIB32: ("f32lt", "F(32)LT"),
-    SequenceFamily.FIB31: ("f31lt", "F(31)LT"),
-}
+    return _series_map("gft", i)
 
 
 def make_flt(series: SequenceFamily, i: int) -> TransformMap:
-    """Fibonacci-Lucas map: chosen series on the top row, Lucas on the bottom.
-
-    Index 3 of the 1,1-seeded series is excluded in the source construction;
-    the matrix is still unimodular, so it is built here with a warning flag
-    rather than refused.
-    """
+    """Fibonacci-Lucas map: chosen series on the top row, Lucas on the bottom."""
     if series not in FLT_SERIES:
         raise ValueError(f"series must be one of {[s.name for s in FLT_SERIES]}")
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
-    lucas = SequenceFamily.LUCAS
-    tag, stem = _FLT[series]
-    largest = min(max_index(series), max_index(lucas)) - 1
-    if i > largest:
-        raise ParameterOverflowError(tag, i, largest)
-    entries = (term(series, i), term(series, i + 1), term(lucas, i), term(lucas, i + 1))
-    warning = None
-    if series is SequenceFamily.FIB11 and i == 3:
-        warning = "index 3 of the 1,1-seeded series is excluded by convention"
-    return TransformMap(entries, tag, {"i": i}, f"{stem}_{i}", warning)
-
-
-_TRIANGULAR_FORMS = {
-    0: lambda k: (0, 1, 1, k),
-    1: lambda k: (k, 1, 1, 0),
-    2: lambda k: (1, 0, k, 1),
-    3: lambda k: (1, k, 0, 1),
-}
+    return _series_map("f%d%dlt" % series.seeds, i)  # tags are named by their seeds
 
 
 def make_triangular(k: int, variant: int = 0) -> TransformMap:
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if variant not in _TRIANGULAR_FORMS:
-        raise ValueError(f"triangular variant must be 0..3, got {variant}")
-    entries = _TRIANGULAR_FORMS[variant](k)
-    return TransformMap(
-        entries, "triangular", {"k": k, "variant": variant}, f"TRI(k={k},v{variant})"
-    )
+    return _form_map("triangular", k, variant)
 
 
 def make_raw(a: int, b: int, c: int, d: int) -> TransformMap:
@@ -236,6 +228,8 @@ def build_map(family: str, params: dict) -> TransformMap:
     """Single registry from (family tag, params) to a map; shared by key files and CLI."""
     spare = dict(params)
     shown = clip(family)
+    if not isinstance(family, str):  # a JSON array or object cannot key a table
+        family = None
 
     def take(name, default=None):
         if name in spare:
@@ -252,18 +246,12 @@ def build_map(family: str, params: dict) -> TransformMap:
         return value
 
     try:
-        if family == "arnold":
-            m = make_arnold()
-        elif family == "gat":
-            m = make_generalized_arnold(take_int("k"), take_int("variant", 0))
-        elif family == "fibonacci-q":
-            m = make_fibonacci_q()
-        elif family == "gft":
-            m = make_gft(take_int("i"))
-        elif flt := [series for series, (tag, _) in _FLT.items() if tag == family]:
-            m = make_flt(flt[0], take_int("i"))
-        elif family == "triangular":
-            m = make_triangular(take_int("k"), take_int("variant", 0))
+        if family in _FIXED:
+            m = _fixed_map(family)
+        elif family in _FORMS:
+            m = _form_map(family, take_int("k"), take_int("variant", 0))
+        elif family in _SERIES:
+            m = _series_map(family, take_int("i"))
         elif family == "raw":
             entries = take("entries")
             if not (

@@ -245,10 +245,11 @@ def _run_parts(work, total: int) -> None:
     """Call work(lo, hi) over contiguous parts of range(total).
 
     Below _SPLIT_PIXELS there is one part, else one per usable CPU: the
-    first runs here, each other on its own thread. Every thread is joined
-    before this returns, and the first exception raised in any part is
-    raised here. work must call no traced library function: it runs NumPy
-    copies only.
+    first runs here, each other on its own thread. A part whose thread
+    cannot start (a process or memory limit) runs here after the first.
+    Every thread is joined before this returns, and the first exception
+    raised in any part is raised here. work must call no traced library
+    function: it runs NumPy copies only.
     """
     k = _usable_cpus() if total >= _SPLIT_PIXELS else 1
     parts = [(total * i // k, total * (i + 1) // k) for i in range(k)]
@@ -260,13 +261,18 @@ def _run_parts(work, total: int) -> None:
         except BaseException as exc:
             errors.append(exc)
 
-    threads = []
+    threads, here = [], parts[:1]
     try:
         for part in parts[1:]:
             thread = threading.Thread(target=guarded, args=part)
-            thread.start()
+            try:
+                thread.start()
+            except RuntimeError:  # "can't start new thread"
+                here.append(part)
+                continue
             threads.append(thread)
-        work(*parts[0])
+        for part in here:
+            work(*part)
     finally:
         for thread in threads:
             thread.join()

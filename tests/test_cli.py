@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -149,6 +150,27 @@ def _one_error_line(capsys) -> str:
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 256. MiB for an array with shape (67108864,) and data type uint32",
+     "error: out of memory: Unable to allocate 256. MiB for an array with shape (67108864,) "
+     "and data type uint32\n"),
+    ("", "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_error_line_and_exit_3(workspace, monkeypatch, capsys, message, line):
+    engine = importlib.import_module("modscramble.scramble")
+
+    def build_index(matrix, n):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(engine, "_last_indexes", None)  # no index of this key is cached
+    monkeypatch.setattr(engine, "_build_index", build_index)
+    out = workspace / "out.pgm"
+    rc = main(["scramble", str(workspace / "a.pgm"), str(workspace / "arnold3.json"), str(out)])
+    assert rc == 3
+    assert _one_error_line(capsys) == line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -149,6 +149,70 @@ def test_a_parameter_past_64_bit_terms_is_refused_by_name(tag, build, largest):
     )
 
 
+def _recurrence(seeds, count):
+    """The first count terms of t(n) = t(n-1) + t(n-2); element j is term j + 1."""
+    terms = list(seeds)
+    while len(terms) < count:
+        terms.append(terms[-1] + terms[-2])
+    return terms
+
+
+#: family: (top seeds, bottom seeds, bottom row starts at term i + this, label stem, constructor)
+_SERIES_ROWS = {
+    "gft": ((0, 1), (0, 1), 2, "GFT", make_gft),
+    "f11lt": ((1, 1), (2, 1), 0, "F(11)LT", lambda i: make_flt(F.FIB11, i)),
+    "f32lt": ((3, 2), (2, 1), 0, "F(32)LT", lambda i: make_flt(F.FIB32, i)),
+    "f31lt": ((3, 1), (2, 1), 0, "F(31)LT", lambda i: make_flt(F.FIB31, i)),
+}
+
+#: family: (label stem, entries of each variant at k, public constructor)
+_FORM_ROWS = {
+    "gat": ("GAT", lambda k: [
+        (k + 1, k, 1, 1), (k, k + 1, 1, 1), (k + 1, 1, k, 1), (k, 1, k + 1, 1),
+        (1, 1, k + 1, k), (1, 1, k, k + 1), (1, k + 1, 1, k), (1, k, 1, k + 1),
+    ], make_generalized_arnold),
+    "triangular": ("TRI", lambda k: [
+        (0, 1, 1, k), (k, 1, 1, 0), (1, 0, k, 1), (1, k, 0, 1),
+    ], make_triangular),
+}
+
+
+def test_every_family_row_builds_its_documented_entries_label_and_params():
+    int64_max = 2**63 - 1
+    for family, entries, make in (("arnold", (2, 1, 1, 1), make_arnold),
+                                  ("fibonacci-q", (1, 1, 1, 0), make_fibonacci_q)):
+        m = build_map(family, {})
+        assert (m.entries, m.family, m.params, m.label, m.warning) == (
+            entries, family, {}, family, None)
+        assert make() == m
+
+    for family, (stem, forms, make) in _FORM_ROWS.items():
+        for k in range(41):
+            for variant, entries in enumerate(forms(k)):
+                params = {"k": k, "variant": variant}
+                m = build_map(family, params)
+                assert (m.entries, m.family, m.params, m.label, m.warning) == (
+                    entries, family, params, f"{stem}(k={k},v{variant})", None)
+                assert make(k, variant) == m
+
+    for family, (top, bottom, shift, stem, make) in _SERIES_ROWS.items():
+        s, b = _recurrence(top, 100), _recurrence(bottom, 100)
+        # the largest i whose four terms all fit in a signed 64-bit integer
+        largest = max(i for i in range(1, 97) if max(s[i], b[i + shift]) <= int64_max)
+        for i in range(1, largest + 1):
+            m = build_map(family, {"i": i})
+            entries = (s[i - 1], s[i], b[i - 1 + shift], b[i + shift])
+            assert (m.entries, m.family, m.params, m.label) == (
+                entries, family, {"i": i}, f"{stem}_{i}")
+            assert (m.warning is not None) == (family == "f11lt" and i == 3)
+            assert make(i) == m
+        for build in (make, lambda i: build_map(family, {"i": i})):
+            with pytest.raises(ParameterOverflowError) as err:
+                build(largest + 1)
+            assert (err.value.family_name, err.value.n, err.value.max_index) == (
+                family, largest + 1, largest)
+
+
 def test_flt_index_3_carries_a_warning_not_an_error():
     flagged = make_flt(F.FIB11, 3)
     assert flagged.entries == (2, 3, 3, 4)
@@ -341,6 +405,9 @@ def test_build_map_registry_round_trips(family, params):
 def test_build_map_rejects_unknown_families_and_parameters():
     with pytest.raises(KeyFormatError):
         build_map("rot13", {})
+    for family in (["gft"], {"i": 1}, 5, None):  # a key file's family may be any JSON value
+        with pytest.raises(KeyFormatError, match="unknown map family"):
+            build_map(family, {})
     with pytest.raises(KeyFormatError):
         build_map("arnold", {"k": 1})
     with pytest.raises(KeyFormatError):

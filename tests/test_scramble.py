@@ -180,7 +180,7 @@ def test_period_agrees_with_the_permutation_oracle():
             assert period(vm) == permutation_order(vm)
 
 
-def test_default_cap_never_fires_for_family_maps():
+def test_family_map_periods_mod_16_are_below_6_n_squared():
     for m in standard_family_maps(1, 8):
         p = period(validate(m, 16))
         assert 1 <= p < 6 * 16 * 16
@@ -584,6 +584,39 @@ def test_blocked_passes_match_the_oracle(monkeypatch, make_image, block):
     scrambled = scramble(img, key)
     assert np.array_equal(scrambled.pixels, _oracle_scramble(img, _oracle_destinations(vm, 4)))
     assert unscramble(scrambled, key) == img
+
+
+@pytest.mark.parametrize("make_image", [random_gray, random_rgb], ids=["gray", "rgb"])
+@pytest.mark.parametrize("refused", [lambda call: True, lambda call: call % 2 == 0],
+                         ids=["every-start", "every-second-start"])
+def test_a_part_whose_thread_cannot_start_runs_on_the_caller(monkeypatch, make_image, refused):
+    module = importlib.import_module("modscramble.scramble")
+    calls = []
+
+    class RefusedThread(threading.Thread):
+        def start(self):
+            calls.append(self)
+            if refused(len(calls)):
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    monkeypatch.setattr(module.threading, "Thread", RefusedThread)
+    monkeypatch.setattr(module, "_SPLIT_PIXELS", 1)
+    monkeypatch.setattr(module, "_usable_cpus", lambda: 3)
+    n = 31
+    vm = _random_invertible(np.random.default_rng(n), n)
+    key = ScrambleKey(vm.map, n, 5)
+    img = make_image(n, seed=3)
+    dest = _oracle_destinations(vm, 5)
+    before = threading.active_count()
+    scrambled = scramble(img, key)
+    gathered_out, back = unscramble(img, key), unscramble(scrambled, key)
+    assert threading.active_count() == before  # every started thread was joined
+    assert len(calls) == 6  # two workers in each of three passes
+    assert scrambled.pixels.tobytes() == _oracle_scramble(img, dest).tobytes()
+    gathered = img.pixels.reshape(n * n, -1)[dest].reshape(img.pixels.shape)
+    assert gathered_out.pixels.tobytes() == gathered.tobytes()
+    assert back == img
 
 
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
