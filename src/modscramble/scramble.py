@@ -157,32 +157,54 @@ def _index_dtype(n: int) -> np.dtype:
     return np.dtype(np.intp if n * n < _SPLIT_PIXELS else np.uint32)
 
 
-def _build_index(matrix: Entries, n: int) -> np.ndarray:
-    """Flat destination x'*n + y' of every source pixel x*n + y, built in row blocks.
+def _index_blocks(matrix: Entries, n: int, out: np.ndarray):
+    """Fill the destinations x'*n + y' of the source rows one block at a time.
 
-    The index has dtype _index_dtype(n). Each row block is an outer sum of
-    per-axis residues, reduced by one unsigned wrap: for v in [0, 2m),
-    min(v, v - m) is v mod m, because v - m wraps round to a huge value
-    when v < m. The sums are taken in uint32, which holds 2m for every side
-    up to SIDE_BOUND.
+    A block is min(n, max(1, _BLOCK // n)) rows (the last may be shorter),
+    built by the recurrence that _build_index states. out is either the
+    whole (n, n) index, whose rows are filled in place, or a buffer of at
+    least one block of rows, reused for every block. Yields (x0, block):
+    the block's first source row and the rows of out just filled.
     """
     a, b, c, d = matrix
-    nn = n * n
+    nn = np.uint32(n * n)
+    rows = min(n, max(1, _BLOCK // n))
     r = np.arange(n, dtype=np.uint32)
-    ax, by = (coef * r % n * n for coef in (np.uint32(a), np.uint32(b)))  # x' terms, times n
-    cx, dy = (coef * r % n for coef in (np.uint32(c), np.uint32(d)))
-    index = np.empty(nn, dtype=_index_dtype(n))
-    rows = max(1, _BLOCK // n)
-    xs, ys, spare = (np.empty((rows, n), dtype=np.uint32) for _ in range(3))
+    xp, yp, tmp = (np.empty((rows, n), dtype=np.uint32) for _ in range(3))
+    np.add.outer(np.uint32(a) * r[:rows] % n * n, np.uint32(b) * r % n * n, out=xp)
+    np.add.outer(np.uint32(c) * r[:rows] % n, np.uint32(d) * r % n, out=yp)
+    x_step, y_step = np.uint32(a * rows % n * n), np.uint32(c * rows % n)
+    whole = len(out) == n
     for x0 in range(0, n, rows):
-        block = index[x0 * n : (x0 + rows) * n].reshape(-1, n)
-        k = block.shape[0]
-        xp, yp, tmp = xs[:k], ys[:k], spare[:k]
-        np.add.outer(ax[x0 : x0 + k], by, out=xp)
-        np.minimum(xp, np.subtract(xp, np.uint32(nn), out=tmp), out=xp)
-        np.add.outer(cx[x0 : x0 + k], dy, out=yp)
-        np.minimum(yp, np.subtract(yp, np.uint32(n), out=tmp), out=yp)
-        np.add(xp, yp, out=block)
+        k = min(rows, n - x0)
+        xk, yk, t = xp[:k], yp[:k], tmp[:k]
+        if x0:
+            xk += x_step
+            yk += y_step
+        np.minimum(xk, np.subtract(xk, nn, out=t), out=xk)
+        np.minimum(yk, np.subtract(yk, np.uint32(n), out=t), out=yk)
+        block = out[x0 : x0 + k] if whole else out[:k]
+        np.add(xk, yk, out=block)
+        yield x0, block
+
+
+def _build_index(matrix: Entries, n: int) -> np.ndarray:
+    """Flat destination x'*n + y' of every source pixel x*n + y, in _index_dtype(n).
+
+    Drains _index_blocks into the index itself. The map is linear, so rows
+    x + k go where rows x go, moved by the fixed vector (a*k, c*k) mod n.
+    Only the first row block is an outer sum of per-axis residues; each
+    later one adds the scalar steps (a*rows mod n)*n and c*rows mod n in
+    place to the held uint32 blocks of x'*n and y'. Each sum is reduced by
+    one unsigned wrap: for v in [0, 2m), min(v, v - m) is v mod m, because
+    v - m wraps round to a huge value when v < m. Every sum is below
+    2*n*n, at most 2**32 for a side up to SIDE_BOUND, so uint32 holds it.
+    Besides the index, the build allocates three uint32 blocks of at most
+    max(_BLOCK, n) entries.
+    """
+    index = np.empty(n * n, dtype=_index_dtype(n))
+    for _ in _index_blocks(matrix, n, index.reshape(n, n)):
+        pass
     return index
 
 

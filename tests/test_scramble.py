@@ -366,9 +366,11 @@ def test_rgb_roundtrip():
 
 # ------------------------------------------- flat-index engine vs the oracle
 
-def _random_invertible(rng, n):
+def _random_invertible(rng, n, low=None, high=None):
+    """A seeded random invertible map mod n, entries drawn from [low, high)."""
+    low, high = (-n if low is None else low), (2 * n if high is None else high)
     while True:
-        m = make_raw(*(int(v) for v in rng.integers(-n, 2 * n, 4)))
+        m = make_raw(*(int(v) for v in rng.integers(low, high, 4)))
         try:
             return validate(m, n)
         except InvalidScramblerError:
@@ -424,12 +426,56 @@ def test_interleaved_keys_give_correct_bytes():
         assert unscramble(scrambled, key) == img
 
 
-@pytest.mark.parametrize("block", [1, 13, 50])
-def test_index_built_in_row_blocks_matches_the_oracle(monkeypatch, block):
+_BLOCK_SHAPES = {  # _BLOCK as a function of the side n
+    "one-entry": lambda n: 1,  # one row per block
+    "one-row": lambda n: n,
+    "short-last-block": lambda n: (n // 2 + 1) * n,  # a row count that does not divide n >= 3
+    "n-rows": lambda n: n * n,
+    "larger-than-image": lambda n: 4 * n * n + 1,
+}
+
+
+@pytest.mark.parametrize("shape", _BLOCK_SHAPES)
+@pytest.mark.parametrize("dtype", [np.intp, np.uint32], ids=["intp", "uint32"])
+def test_index_built_in_row_blocks_matches_the_oracle(monkeypatch, dtype, shape):
     module = importlib.import_module("modscramble.scramble")
-    monkeypatch.setattr(module, "_BLOCK", block)  # one row, whole rows, a short last block
-    vm = validate(make_flt(F.FIB32, 3), 13)
-    assert np.array_equal(module._build_index(vm.reduced, 13), _oracle_destinations(vm, 1))
+    if dtype == np.uint32:
+        monkeypatch.setattr(module, "_SPLIT_PIXELS", 1)
+    rng = np.random.default_rng(27)
+    for n in (2, 3, 13, 31, 32, 64, 97):
+        monkeypatch.setattr(module, "_BLOCK", _BLOCK_SHAPES[shape](n))
+        maps = [_random_invertible(rng, n) for _ in range(4)]
+        maps += [_random_invertible(rng, n, low=n - 4, high=n) for _ in range(2)]  # entries near n - 1
+        for vm in maps:
+            index = module._build_index(vm.reduced, n)
+            assert index.dtype == dtype
+            assert np.array_equal(index, _oracle_destinations(vm, 1)), (n, vm.reduced)
+
+
+def test_index_blocks_wrap_exactly_at_the_side_bound():
+    # One row per block at this side. With a = n - 1 the held x'*n plus its
+    # step reaches 2 * (n*n - n), about 268,000 below 2**32.
+    module = importlib.import_module("modscramble.scramble")
+    n = SIDE_BOUND
+    a, b, c, d = n - 1, n - 3, n - 7, n - 1
+    blocks = module._index_blocks((a, b, c, d), n, np.empty((1, n), dtype=np.uint32))
+    for x, (x0, block) in zip(range(3), blocks):
+        assert x0 == x
+        assert block.tolist() == [[(a * x + b * y) % n * n + (c * x + d * y) % n for y in range(n)]]
+
+
+def test_an_index_build_allocates_the_index_and_a_few_blocks():
+    # Three uint32 blocks of _BLOCK entries, and NumPy's cast of the last add.
+    module = importlib.import_module("modscramble.scramble")
+    n = 1024
+    vm = _random_invertible(np.random.default_rng(4), n, low=n - 8, high=n)
+    tracemalloc.start()
+    try:
+        index = module._build_index(vm.reduced, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < index.nbytes + 5 * module._BLOCK * 4
 
 
 def test_index_dtype_is_intp_below_the_split_and_compact_from_it():
