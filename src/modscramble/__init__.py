@@ -1,4 +1,9 @@
-"""Periodic 2x2 modular image scrambling: maps, exact periods, analysis, attacks."""
+"""Periodic 2x2 modular image scrambling: maps, exact periods, analysis, attacks.
+
+The package binds ``modscramble.scramble`` to the function, so
+``import modscramble.scramble as m`` gives the function, not the module.
+Reach the module with ``importlib.import_module("modscramble.scramble")``.
+"""
 
 from .errors import (
     DataError,

@@ -18,7 +18,7 @@ from .errors import (
     ParameterOverflowError,
     clip,
 )
-from .sequences import FLT_SERIES, INT64_MAX, SequenceFamily, max_index, term
+from .sequences import FLT_SERIES, INT64_MAX, SequenceFamily, _lucas_pair, max_index, term
 
 Entries = tuple[int, int, int, int]
 
@@ -210,18 +210,18 @@ def mat_mul_mod(x: Entries, y: Entries, n: int) -> Entries:
 
 
 def power_mod(vm: ValidatedMap, e: int) -> Entries:
-    """vm's matrix to the e-th power mod n, by square-and-multiply."""
+    """vm's matrix M to the e-th power mod n, from one Lucas pair.
+
+    By Cayley-Hamilton, M^2 = P*M - Q*I for P = trace M and Q = det M, so
+    M^e = U_e*(M - P*I) + U_(e+1)*I over the integers for every e >= 0, where
+    U is the Lucas sequence U(P, Q). This holds mod every n, with no case split.
+    """
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
-    result = IDENTITY
-    base = vm.reduced
+    a, b, c, d = vm.reduced
     n = vm.n
-    while e:
-        if e & 1:
-            result = mat_mul_mod(result, base, n)
-        base = mat_mul_mod(base, base, n)
-        e >>= 1
-    return result
+    u, v = _lucas_pair((a + d) % n, vm.det_mod, e, n)
+    return ((v - u * d) % n, u * b % n, u * c % n, (v - u * a) % n)
 
 
 def build_map(family: str, params: dict) -> TransformMap:

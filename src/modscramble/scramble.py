@@ -411,8 +411,9 @@ def period(vm: ValidatedMap) -> int:
     the order. The work grows with the size of n, not with the order: n
     above PERIOD_MODULUS_BOUND raises WorkBoundError. The factors of n, q - 1
     and q + 1 are memoised, so a survey or an equivalence report at one n
-    factors it once. The matrix powers remain: about 2 ms per map at
-    n = 4294967291 (2-CPU Xeon), so 10**5 maps there still take minutes.
+    factors it once. Each power is one Lucas pair of the map's trace and
+    determinant (maps.power_mod): about 0.7 ms per map at n = 4294967291
+    (2-CPU Xeon), so 10**5 maps there still take over a minute.
     """
     n = vm.n
     if n > PERIOD_MODULUS_BOUND:

@@ -3,8 +3,14 @@
 All sequences are 1-indexed and satisfy term(n) = term(n-1) + term(n-2) for
 n >= 3. Exact terms are refused past the signed 64-bit range so that
 downstream determinant identities stay exact; :func:`term_mod` reduces
-modulo its modulus for arbitrarily large indices, and both use one
-fast-doubling kernel.
+modulo its modulus for arbitrarily large indices.
+
+One fast-doubling kernel, :func:`_lucas_pair`, computes the Lucas sequence
+U(P, Q) mod m. The Fibonacci numbers behind every series are U(1, -1), and
+by Cayley-Hamilton a 2x2 matrix power is fixed by U(trace, det), so
+``maps.power_mod`` runs on the same kernel (Lucas, "Theorie des fonctions
+numeriques simplement periodiques", Amer. J. Math. 1, 1878; Wall,
+"Fibonacci series modulo m", Amer. Math. Monthly 67(6), 1960).
 """
 
 import enum
@@ -59,8 +65,7 @@ def term_mod(family: SequenceFamily, n: int, modulus: int) -> int:
     """term(family, n) mod modulus, in O(log n) steps of modular arithmetic.
 
     term(n) = a*F(n-2) + b*F(n-1) for seeds (a, b) and the Fibonacci numbers
-    F, which fast doubling gives: F(2k) = F(k)*(2*F(k+1) - F(k)) and
-    F(2k+1) = F(k)^2 + F(k+1)^2.
+    F = U(1, -1), which the Lucas kernel gives as one pair.
     """
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
@@ -69,9 +74,20 @@ def term_mod(family: SequenceFamily, n: int, modulus: int) -> int:
     a, b = family.seeds
     if n == 1:
         return a % modulus
-    f, g = 0, 1  # F(k), F(k+1) mod modulus, k from the leading bits of n - 2
-    for bit in bin(n - 2)[2:]:
-        f, g = f * (2 * g - f) % modulus, (f * f + g * g) % modulus
-        if bit == "1":
-            f, g = g, (f + g) % modulus
+    f, g = _lucas_pair(1, -1, n - 2, modulus)
     return (a * f + b * g) % modulus
+
+
+def _lucas_pair(p: int, q: int, k: int, modulus: int) -> tuple[int, int]:
+    """(U_k, U_(k+1)) mod modulus for the Lucas sequence U_0 = 0, U_1 = 1,
+    U_(j+2) = p*U_(j+1) - q*U_j, with k >= 0.
+
+    Fast doubling over the bits of k: U_2j = U_j*(2*U_(j+1) - p*U_j) and
+    U_(2j+1) = U_(j+1)^2 - q*U_j^2.
+    """
+    u, v = 0, 1  # U_j, U_(j+1) mod modulus, j from the leading bits of k
+    for bit in bin(k)[2:]:
+        u, v = u * (2 * v - p * u) % modulus, (v * v - q * u * u) % modulus
+        if bit == "1":
+            u, v = v, (p * v - q * u) % modulus
+    return u, v

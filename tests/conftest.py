@@ -71,6 +71,24 @@ def iterated_order(vm) -> int:
     return order
 
 
+def matrix_power(entries, e: int, n: int) -> tuple:
+    """Oracle for power_mod: square-and-multiply on its own 2x2 product mod n,
+    with no Lucas sequence and no package code."""
+
+    def mul(x, y):
+        a, b, c, d = x
+        w, x_, y_, z = y
+        return ((a * w + b * y_) % n, (a * x_ + b * z) % n, (c * w + d * y_) % n, (c * x_ + d * z) % n)
+
+    result, base = (1, 0, 0, 1), tuple(v % n for v in entries)
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
+
+
 def proper_powers(vm) -> frozenset:
     """Third oracle: the matrices M^k mod n for 1 <= k < period, by repeated products.
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from modscramble import (
     validate,
 )
 
-from conftest import SERIES_TERMS
+from conftest import SERIES_TERMS, matrix_power
 
 F = SequenceFamily
 
@@ -372,6 +373,24 @@ def test_power_is_additive_in_the_exponent(entries, n, a, b):
         return
     vm = validate(m, n)
     assert power_mod(vm, a + b) == mat_mul_mod(power_mod(vm, a), power_mod(vm, b), n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12, 1031, 65521, 2**32 - 5, 2**32])
+def test_power_matches_square_and_multiply_near_the_modulus(n):
+    # entries near n - 1 wrap a missed reduction; negative ones reduce at validate
+    rng = random.Random(n)
+    values = list(range(max(n - 4, 0), n)) + [-1, -2, -3, -n - 1, -n + 1]
+    checked = 0
+    for _ in range(60):
+        entries = tuple(rng.choice(values) for _ in range(4))
+        try:
+            vm = validate(make_raw(*entries), n)
+        except InvalidScramblerError:
+            continue
+        for e in (0, 1, 2, 3, rng.randrange(4, 1000), 2**70 - 1, 2**70, 2**70 + rng.randrange(1, 2**64)):
+            assert power_mod(vm, e) == matrix_power(entries, e, n), (entries, e)
+        checked += 1
+    assert checked
 
 
 def test_power_rejects_negative_exponent():

@@ -231,18 +231,19 @@ def _prime_divisors(m: int) -> list[int]:
 )
 def test_long_periods_are_exact_and_cost_few_multiplications(monkeypatch, entries, n, expected):
     vm = validate(make_raw(*entries), n)
-    calls = 0
-    real = maps_module.mat_mul_mod
+    exponents = []
+    real = maps_module._lucas_pair
 
-    def counted(x, y, m):
-        nonlocal calls
-        calls += 1
-        return real(x, y, m)
+    def counted(p, q, k, m):
+        exponents.append(k)
+        return real(p, q, k, m)
 
-    monkeypatch.setattr(maps_module, "mat_mul_mod", counted)
+    monkeypatch.setattr(maps_module, "_lucas_pair", counted)
     p = period(vm)
-    assert calls < 2000
     monkeypatch.undo()
+    # one Lucas pair per exponent tried, one doubling step per bit of it
+    assert len(exponents) <= {10007: 5, 65521: 9}[n]
+    assert sum(k.bit_length() for k in exponents) <= {10007: 140, 65521: 257}[n]
     assert p == expected
     assert power_mod(vm, p) == IDENTITY
     for r in _prime_divisors(p):

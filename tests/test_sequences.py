@@ -111,6 +111,13 @@ def test_term_mod_at_index_ten_to_the_eighteen(family):
         assert term_mod(family, n, 10) == term(family, (n - 1) % 60 + 1) % 10, n
 
 
+@pytest.mark.parametrize("family", list(F))
+def test_term_mod_at_the_smallest_and_a_64_bit_modulus(family):
+    for modulus in (2, 2**63):
+        for n in range(1, 200):
+            assert term_mod(family, n, modulus) == exact_term_unchecked(family, n) % modulus, (modulus, n)
+
+
 def test_lucas_fibonacci_sum_identity():
     # L_i = F11_i + F11_(i-2) for i >= 3, through the 64-bit bound
     for i in range(3, max_index(F.LUCAS) + 1):
